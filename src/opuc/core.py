@@ -47,7 +47,7 @@ class ReflectionSequence:
         if n < 1:
             raise DomainError(f"coefficient index must be >= 1, got {n}")
         value = complex(self.raw_coeff(n))
-        if abs(value) >= 1.0:
+        if not abs(value) < 1.0:  # also rejects NaN
             raise InvalidCoefficientError(n, value, detail=repr(self))
         return value
 
@@ -67,7 +67,7 @@ class Constant(ReflectionSequence):
     a: complex
 
     def __post_init__(self):
-        if abs(self.a) >= 1.0:
+        if not abs(self.a) < 1.0:
             raise InvalidCoefficientError(1, self.a, detail="constant sequence")
 
     def raw_coeff(self, n: int) -> complex:
@@ -100,7 +100,7 @@ class Rotated(ReflectionSequence):
     base: ReflectionSequence
 
     def __post_init__(self):
-        if abs(abs(self.tau) - 1.0) > 1e-12:
+        if not abs(abs(self.tau) - 1.0) <= 1e-12:  # also rejects non-finite tau
             raise InvalidRotationError(self.tau)
 
     def raw_coeff(self, n: int) -> complex:
@@ -166,7 +166,7 @@ class Perturbed(ReflectionSequence):
     sign: str = "plain"
 
     def __post_init__(self):
-        if abs(self.a) >= 1.0:
+        if not abs(self.a) < 1.0:
             raise InvalidCoefficientError(1, self.a, detail="perturbation center")
         if self.amplitude < 0.0:
             raise DomainError("amplitude must be nonnegative")
@@ -201,7 +201,7 @@ class ArcSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < math.pi:
             raise DomainError(f"arc half-gap angle must lie in (0, pi), got {self.alpha}")
-        if abs(abs(self.tau) - 1.0) > 1e-12:
+        if not abs(abs(self.tau) - 1.0) <= 1e-12:  # also rejects non-finite tau
             raise InvalidRotationError(self.tau)
 
     @property
@@ -252,7 +252,7 @@ def unit_point(z) -> complex:
     if isinstance(z, UnitCirclePoint):
         return z.z
     w = complex(z)
-    if abs(abs(w) - 1.0) > 1e-9:
+    if not abs(abs(w) - 1.0) <= 1e-9:  # also rejects non-finite z
         raise DomainError(f"point must lie on the unit circle, got |z| = {abs(w):.6g}")
     return w
 

@@ -16,7 +16,7 @@ class InvalidCoefficientError(ValueError):
     def __init__(self, index: int, value: complex, detail: str = ""):
         self.index = index
         self.value = value
-        msg = f"reflection coefficient at index {index} has |value| = {abs(value):.6g} >= 1"
+        msg = f"reflection coefficient at index {index} has |value| = {abs(value):.6g}, not < 1"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

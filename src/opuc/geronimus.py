@@ -37,7 +37,7 @@ import numpy as np
 
 from . import szego
 from .core import Constant, arc_from_a
-from .errors import DomainError
+from .errors import DomainError, InvalidCoefficientError
 
 # inside this band around the branch points the divided differences lose
 # roughly six digits, so evaluation falls back to the recurrence
@@ -264,13 +264,20 @@ def christoffel_mass(a: complex, z: complex, max_terms: int = 500_000) -> tuple[
     below a relative noise floor. Away from mass points the sum keeps
     growing and the flag comes back False with mass 0.
     """
-    state = szego.initial_state(complex(z))
+    b = complex(a)
+    if not abs(b) < 1.0:
+        raise InvalidCoefficientError(1, b)
+    zz = complex(z)
+    r = math.sqrt(1.0 - abs(b) ** 2)
+    bc = b.conjugate()
+    # the phi, phi* columns of szego.step, on local scalars
+    phi = phi_star = 1.0
     total = 1.0  # degree-0 term
     prev_term = 1.0
     rising = 0
     for _ in range(max_terms):
-        state = szego.step(state, a)
-        term = state.phi.real**2 + state.phi.imag**2
+        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * bc * phi + phi_star) / r
+        term = phi.real**2 + phi.imag**2
         if not math.isfinite(term) or total > 1e12:
             return 0.0, False
         total += term

@@ -296,7 +296,7 @@ def classify_conditions(seq: ReflectionSequence, a: complex, tau: complex, n_ter
     if n_terms < 10:
         raise DomainError(f"need at least 10 terms, got {n_terms}")
     tt = complex(tau)
-    if abs(abs(tt) - 1.0) > 1e-12:
+    if not abs(abs(tt) - 1.0) <= 1e-12:  # also rejects non-finite tau
         raise InvalidRotationError(tt)
     aa = complex(a)
     phase = cmath.phase(tt)

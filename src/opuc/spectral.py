@@ -299,12 +299,15 @@ def christoffel_sum(seq: ReflectionSequence, z, n_terms: int) -> ChristoffelRepo
     if n_terms < 2:
         raise DomainError(f"need at least 2 terms, got {n_terms}")
     sums = np.empty(n_terms + 1)
-    state = szego.initial_state(zz)
-    total = state.phi.real**2 + state.phi.imag**2
+    # the phi, phi* columns of szego.step, on local scalars
+    phi = phi_star = 1.0
+    total = 1.0
     sums[0] = total
     for k in range(1, n_terms + 1):
-        state = szego.step(state, seq.coeff_at(k))
-        total += state.phi.real**2 + state.phi.imag**2
+        b = seq.coeff_at(k)
+        r = math.sqrt(1.0 - abs(b) ** 2)
+        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * b.conjugate() * phi + phi_star) / r
+        total += phi.real**2 + phi.imag**2
         sums[k] = total
     rel_change = (sums[-1] - sums[n_terms // 2]) / sums[-1]
     converged = bool(np.isfinite(sums[-1]) and rel_change < 1e-4)

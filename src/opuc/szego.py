@@ -56,7 +56,7 @@ def initial_state(z: complex) -> SzegoState:
 def step(state: SzegoState, phi_next_at_zero: complex, z: complex | None = None) -> SzegoState:
     """Advance one degree with the given next reflection coefficient."""
     b = complex(phi_next_at_zero)
-    if abs(b) >= 1.0:
+    if not abs(b) < 1.0:  # also rejects NaN
         raise InvalidCoefficientError(state.n + 1, b)
     zz = state.z if z is None else complex(z)
     r = math.sqrt(1.0 - abs(b) ** 2)
@@ -72,23 +72,30 @@ def step(state: SzegoState, phi_next_at_zero: complex, z: complex | None = None)
     )
 
 
-def iter_states(seq: ReflectionSequence, n: int, z: complex) -> Iterator[SzegoState]:
-    """States at degrees 0..n (n + 1 values)."""
-    state = initial_state(z)
-    yield state
-    for k in range(1, n + 1):
-        state = step(state, seq.coeff_at(k))
-        yield state
-
-
 def evaluate(seq: ReflectionSequence, n: int, z: complex) -> SzegoState:
-    """Fold the matrix recurrence n times from the degree-0 state."""
+    """Fold the matrix recurrence n times from the degree-0 state.
+
+    The fold runs on local scalars with the expression text of step(), so
+    the result equals n chained step() calls bit for bit.
+    """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
-    state = initial_state(z)
+    zz = complex(z)
+    phi = phi_star = psi = psi_star = kappa = 1.0
     for k in range(1, n + 1):
-        state = step(state, seq.coeff_at(k))
-    return state
+        b = complex(seq.coeff_at(k))
+        if not abs(b) < 1.0:
+            raise InvalidCoefficientError(k, b)
+        r = math.sqrt(1.0 - abs(b) ** 2)
+        bc = b.conjugate()
+        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * bc * phi + phi_star) / r
+        psi, psi_star = (
+            (zz * psi + (-b) * psi_star) / r,
+            (zz * (-b).conjugate() * psi + psi_star) / r,
+        )
+        kappa = kappa / r
+    return SzegoState(n=n, z=zz, phi=phi, phi_star=phi_star, psi=psi, psi_star=psi_star,
+                      kappa=kappa)
 
 
 def pair_evaluate(seq: ReflectionSequence, n: int, z: complex) -> tuple[complex, complex]:
@@ -182,17 +189,52 @@ def monic_coefficients(seq: ReflectionSequence, n: int) -> np.ndarray:
     return coeffs
 
 
+# While every |phi|, |phi*| on the grid stays below this, no intermediate of a
+# step can overflow (the largest is a few times the bound)
+_SWEEP_SAFE_BOUND = 1e300
+
+
 def sweep_abs_phi(seq: ReflectionSequence, thetas: np.ndarray, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, |phi_n| over the angle grid) for n = 1..n_max, vectorized.
 
     Grid sweeps are the intended parallelism: one recurrence pass advances
-    the whole grid at once.
+    the whole grid at once, in place in two preallocated buffers.
+
+    The values equal the literal recurrence (z phi + b phi*) / r,
+    (z conj(b) phi + phi*) / r evaluated on arrays, bit for bit. numpy
+    divides a complex value by a real r as (re + im * 0) * (1 / r), which is
+    re * (1 / r) whenever the numerator is finite, so while a running bound
+    keeps every value far from overflow each step divides by one real
+    multiply of the float64 view instead. Past that bound (off-arc growth,
+    non-finite angles) the step takes the literal divide.
     """
     z = np.exp(1j * np.asarray(thetas, dtype=float))
-    phi = np.ones_like(z)
-    phi_star = np.ones_like(z)
+    cur = np.ones((2,) + z.shape, dtype=complex)  # phi, phi*
+    nxt = np.empty_like(cur)
+    tmp = np.empty_like(z)
+    # bound on |phi| and |phi*| over the grid; |z| = 1 makes the growth per
+    # step at most (1 + |b|) / r. NaN keeps every step on the literal divide.
+    bound = 1.0 if np.isfinite(z).all() else math.nan
     for k in range(1, n_max + 1):
         b = seq.coeff_at(k)
         r = math.sqrt(1.0 - abs(b) ** 2)
-        phi, phi_star = (z * phi + b * phi_star) / r, (z * b.conjugate() * phi + phi_star) / r
-        yield k, np.abs(phi)
+        growth = (1.0 + abs(b)) / r
+        bound *= growth
+        if bound > _SWEEP_SAFE_BOUND:
+            bound = float(np.abs(cur).max(initial=0.0)) * growth
+        phi, phi_star = cur[0, ...], cur[1, ...]
+        new_phi, new_phi_star = nxt[0, ...], nxt[1, ...]
+        if bound <= _SWEEP_SAFE_BOUND:
+            np.multiply(z, phi, out=new_phi)
+            np.multiply(b, phi_star, out=tmp)
+            np.add(new_phi, tmp, out=new_phi)
+            np.multiply(z, b.conjugate(), out=tmp)
+            np.multiply(tmp, phi, out=new_phi_star)
+            np.add(new_phi_star, phi_star, out=new_phi_star)
+            flat = nxt.view(float)
+            np.multiply(flat, 1.0 / r, out=flat)
+        else:
+            np.divide(z * phi + b * phi_star, r, out=new_phi)
+            np.divide(z * b.conjugate() * phi + phi_star, r, out=new_phi_star)
+        cur, nxt = nxt, cur
+        yield k, np.abs(cur[0, ...])

@@ -148,6 +148,12 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("spec", ["const:nan", "const:0.5,nan"])
+def test_nan_coefficients_exit_one(capsys, spec):
+    code, out, err = run(capsys, "eval", "--coeffs", spec, "--n", "10")
+    assert code == 1 and err and not out
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

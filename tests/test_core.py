@@ -19,6 +19,7 @@ from opuc.core import (
     mat_norm,
     parse_sequence,
     rotate_sequence,
+    unit_point,
 )
 from opuc.errors import (
     DomainError,
@@ -48,6 +49,46 @@ def test_explicit_rejects_out_of_disk():
     with pytest.raises(InvalidCoefficientError) as exc:
         Explicit([0.1, 1.2])
     assert exc.value.index == 2
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Constant(NAN),
+    lambda: Constant(complex(0.5, NAN)),
+    lambda: parse_sequence("const:nan"),
+    lambda: parse_sequence("const:0.5,nan"),
+    lambda: Explicit([0.1, NAN]),
+    lambda: Perturbed(a=NAN, amplitude=0.5, p=2.0),
+    lambda: Perturbed(a=0.5, amplitude=NAN, p=2.0),
+], ids=["const", "const-imag", "spec", "spec-imag", "explicit", "perturbed-center",
+        "perturbed-amplitude"])
+def test_nan_coefficient_rejected(make):
+    with pytest.raises(InvalidCoefficientError):
+        make()
+
+
+def test_nan_file_row_rejected(tmp_path):
+    path = tmp_path / "coeffs.csv"
+    path.write_text("n,re,im\n1,0.1,0.0\n2,nan,0.0\n")
+    with pytest.raises(InvalidCoefficientError) as exc:
+        parse_sequence(f"file:{path}")
+    assert exc.value.index == 2
+
+
+@pytest.mark.parametrize("tau", [NAN, complex(1.0, NAN), float("inf")])
+def test_non_finite_rotation_rejected(tau):
+    with pytest.raises(InvalidRotationError):
+        rotate_sequence(Constant(0.5), tau)
+    with pytest.raises(InvalidRotationError):
+        ArcSpec(alpha=1.0, tau=tau)
+
+
+@pytest.mark.parametrize("z", [NAN, complex(NAN, 0.0), complex(float("inf"), 0.0)])
+def test_unit_point_rejects_non_finite(z):
+    with pytest.raises(DomainError):
+        unit_point(z)
 
 
 def test_index_must_be_positive():

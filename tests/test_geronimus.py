@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from opuc import geronimus, szego
 from opuc.core import Constant
-from opuc.errors import DomainError
+from opuc.errors import DomainError, InvalidCoefficientError
 from conftest import state_scale
 
 SQRT3 = math.sqrt(3.0)
@@ -204,3 +204,41 @@ def test_mu_a_rejects_bad_coefficient():
     for bad in (0.0, 1.0):
         with pytest.raises(DomainError):
             geronimus.mu_a_spec(bad)
+
+
+def _christoffel_mass_by_steps(a, z, max_terms):
+    """christoffel_mass driven by szego.step, the reference for the local fold."""
+    state = szego.initial_state(z)
+    total, prev_term, rising = 1.0, 1.0, 0
+    for _ in range(max_terms):
+        state = szego.step(state, a)
+        term = state.phi.real**2 + state.phi.imag**2
+        if not math.isfinite(term) or total > 1e12:
+            return 0.0, False
+        total += term
+        if term <= 1e-12 * total:
+            return 1.0 / total, True
+        if term > prev_term:
+            rising += 1
+            if rising >= 4 and term < 1e-8 * total:
+                return 1.0 / total, True
+        else:
+            rising = 0
+        prev_term = term
+    return 1.0 / total, False
+
+
+@pytest.mark.parametrize("a,z", [
+    (-0.5, 1.0),
+    (-0.3 + 0.4j, cmath.exp(1j * geronimus.mu_a_spec(-0.3 + 0.4j).beta)),
+    (0.5, cmath.exp(2.0j)),
+    (-0.8, cmath.exp(0.05j)),
+])
+def test_christoffel_mass_matches_step_fold(a, z):
+    assert geronimus.christoffel_mass(a, z, 5000) == _christoffel_mass_by_steps(a, z, 5000)
+
+
+@pytest.mark.parametrize("a", [math.nan, complex(0.2, math.nan), 1.0])
+def test_christoffel_mass_rejects_invalid_coefficient(a):
+    with pytest.raises(InvalidCoefficientError):
+        geronimus.christoffel_mass(a, 1.0)

@@ -6,7 +6,7 @@ import pytest
 
 from opuc import geronimus, perturbation, szego
 from opuc.core import Constant, JacobiArc, Perturbed, mat_norm
-from opuc.errors import DomainError
+from opuc.errors import DomainError, InvalidRotationError
 
 
 def test_e_matrix_vanishes_when_unperturbed():
@@ -241,3 +241,9 @@ def test_condition_report_json_shape():
     for c in js["checks"]:
         assert {"condition", "partial_sum", "verdict", "tail_slope"} <= c.keys()
         assert len(c["partial_sum"]) == 50
+
+
+@pytest.mark.parametrize("tau", [math.nan, complex(1.0, math.nan), math.inf])
+def test_conditions_reject_non_finite_rotation(tau):
+    with pytest.raises(InvalidRotationError):
+        perturbation.classify_conditions(Constant(0.5), 0.5, tau, 100)

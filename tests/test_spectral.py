@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from opuc import spectral
+from opuc import spectral, szego
 from opuc.core import Constant, Explicit, Zhedanov
 from opuc.errors import DomainError
 from conftest import random_explicit
@@ -204,6 +204,22 @@ def test_christoffel_mass_point():
     # geometric-series oracle: sum ((1+a)/(1-a))^k = 3/2
     assert rep.converged
     assert rep.mass_estimate == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("seq,z", [
+    (Constant(-0.5), 1.0 + 0.0j),
+    (Constant(-0.3 + 0.4j), cmath.exp(0.9j)),
+    (Explicit([0.3 * (-0.9) ** k for k in range(400)]), cmath.exp(2.0j)),
+])
+def test_christoffel_partial_sums_match_step_fold(seq, z):
+    rep = spectral.christoffel_sum(seq, z, 400)
+    state = szego.initial_state(z)
+    total = 1.0
+    assert rep.partial_sums[0] == total
+    for k in range(1, 401):
+        state = szego.step(state, seq.coeff_at(k))
+        total += state.phi.real**2 + state.phi.imag**2
+        assert rep.partial_sums[k] == total
 
 
 def test_christoffel_interior_point_diverges():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opuc import szego
-from opuc.core import Constant, Explicit, Zhedanov
+from opuc.core import Constant, Explicit, Perturbed, Zhedanov, arc_from_a
 from opuc.errors import InvalidCoefficientError
 from conftest import circle_points, random_explicit
 
@@ -33,6 +33,12 @@ def test_step_degree_one_value():
 def test_step_rejects_boundary_coefficient():
     with pytest.raises(InvalidCoefficientError):
         szego.step(szego.initial_state(1.0), 1.0)
+
+
+@pytest.mark.parametrize("b", [math.nan, complex(0.1, math.nan)])
+def test_step_rejects_nan_coefficient(b):
+    with pytest.raises(InvalidCoefficientError):
+        szego.step(szego.initial_state(1.0), b)
 
 
 def test_evaluate_degree_zero():
@@ -174,3 +180,77 @@ def test_sweep_matches_scalar_evaluation():
     for i, t in enumerate(thetas):
         st = szego.evaluate(seq, 9, cmath.exp(1j * t))
         assert rows[9][i] == pytest.approx(abs(st.phi), rel=1e-12)
+
+
+def _literal_sweep(seq, thetas, n_max):
+    """The recurrence on arrays as written, the reference for sweep_abs_phi."""
+    z = np.exp(1j * np.asarray(thetas, dtype=float))
+    phi = np.ones_like(z)
+    phi_star = np.ones_like(z)
+    for k in range(1, n_max + 1):
+        b = seq.coeff_at(k)
+        r = math.sqrt(1.0 - abs(b) ** 2)
+        phi, phi_star = (z * phi + b * phi_star) / r, (z * b.conjugate() * phi + phi_star) / r
+        yield k, np.abs(phi)
+
+
+def _assert_same_sweep(seq, thetas, n_max):
+    got = szego.sweep_abs_phi(seq, thetas, n_max)
+    count = 0
+    for (k, row), (k_ref, ref) in zip(got, _literal_sweep(seq, thetas, n_max), strict=True):
+        assert k == k_ref
+        assert np.array_equal(row, ref, equal_nan=True), k
+        count += 1
+    assert count == n_max
+
+
+@pytest.mark.parametrize("seq", [
+    Constant(0.55),
+    Perturbed(a=0.45 + 0.2j, amplitude=0.3, p=1.0, sign="plain"),
+    Perturbed(a=0.6, amplitude=0.25, p=1.5, sign="alt"),
+], ids=["const", "plain", "alt"])
+def test_sweep_is_bit_identical_to_literal_recurrence(seq):
+    thetas = arc_from_a(seq.a).grid(4096)  # endpoints included
+    _assert_same_sweep(seq, thetas, 1500)
+
+
+def test_sweep_is_bit_identical_past_overflow():
+    # gap points grow geometrically and overflow; non-finite angles give NaN
+    thetas = np.concatenate((np.linspace(0.0, 2.0 * math.pi, 65), [math.nan, math.inf]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_sweep(Constant(0.9), thetas, 700)
+        _assert_same_sweep(Constant(0.5), np.array([]), 3000)
+
+
+def _fold_steps(seq, n, z):
+    state = szego.initial_state(z)
+    for k in range(1, n + 1):
+        state = szego.step(state, seq.coeff_at(k))
+    return state
+
+
+@pytest.mark.parametrize("seq", [
+    Constant(0.5),
+    Perturbed(a=0.4 + 0.3j, amplitude=0.5, p=1.2, sign="alt"),
+    Perturbed(a=0.7, amplitude=0.3, p=0.6, sign="plain"),
+], ids=["const", "alt", "plain"])
+def test_evaluate_is_bit_identical_to_step_fold(seq):
+    for theta in (2.0, math.pi, 4.2):  # on the arc of every sequence here
+        z = cmath.exp(1j * theta)
+        got = szego.evaluate(seq, 2000, z)
+        ref = _fold_steps(seq, 2000, z)
+        assert cmath.isfinite(got.phi) and cmath.isfinite(got.psi)
+        assert (got.n, got.z) == (ref.n, ref.z)
+        assert got.phi == ref.phi and got.phi_star == ref.phi_star
+        assert got.psi == ref.psi and got.psi_star == ref.psi_star
+        assert got.kappa == ref.kappa
+
+
+def test_second_kind_involution_is_exact_at_high_degree():
+    seq = Perturbed(a=0.4 + 0.3j, amplitude=0.5, p=1.2, sign="alt")
+    neg = Explicit([-v for v in seq.coeffs(2000)])
+    z = cmath.exp(2.5j)
+    a = szego.evaluate(seq, 2000, z)
+    b = szego.evaluate(neg, 2000, z)
+    assert a.phi == b.psi and a.psi == b.phi
+    assert a.phi_star == b.psi_star and a.psi_star == b.phi_star
