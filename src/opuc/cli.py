@@ -37,6 +37,7 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
+_RESIDUAL_COLUMNS = ["n", "exact", "expansion", "residual", "n3residual"]
 
 
 class _UsageError(Exception):
@@ -83,6 +84,16 @@ def _emit_json(payload: dict, target: str) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", target)
 
 
+def _emit_table(args, header: list[str], rows: list[list], **meta) -> int:
+    """Rows (first column as is, the rest as floats) as CSV, or as JSON with `meta`."""
+    rows = [[r[0]] + [float(v) for v in r[1:]] for r in rows]
+    if args.format == "csv":
+        _emit(_csv_lines(header, rows), args.output)
+    else:
+        _emit_json({"command": args.command, **meta, "columns": header, "rows": rows}, args.output)
+    return 0
+
+
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
@@ -109,13 +120,7 @@ def _cmd_eval(args) -> int:
         rows.append([theta, st.phi.real, st.phi.imag, st.phi_star.real, st.phi_star.imag,
                      st.psi.real, st.psi.imag, st.kappa])
     header = ["theta", "re_phi", "im_phi", "re_phistar", "im_phistar", "re_psi", "im_psi", "kappa"]
-    if args.format == "csv":
-        _emit(_csv_lines(header, [[float(v) for v in r] for r in rows]), args.output)
-    else:
-        _emit_json({"command": "eval", "n": args.n,
-                    "columns": header,
-                    "rows": [[float(v) for v in r] for r in rows]}, args.output)
-    return 0
+    return _emit_table(args, header, rows, n=args.n)
 
 
 def _cmd_geronimus(args) -> int:
@@ -198,19 +203,12 @@ def _cmd_example17(args) -> int:
     alpha = _angle(args.alpha, args.degrees)
     params = special.ArcMeasureParams(alpha, args.gamma, args.delta)
     rows = []
-    for n in range(1, args.nmax + 1):
-        exact = special.arc_reflection_exact(params, n)
+    for n, exact in zip(range(1, args.nmax + 1), special.arc_reflections(params)):
         expansion = special.reflection_expansion(params, n)
         resid = abs(exact - expansion)
         rows.append([n, exact, expansion, resid, n**3 * resid])
-    header = ["n", "exact", "expansion", "residual", "n3residual"]
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows), args.output)
-    else:
-        _emit_json({"command": "example17", "alpha": alpha, "gamma": args.gamma,
-                    "delta": args.delta, "columns": header,
-                    "rows": [[r[0]] + [float(v) for v in r[1:]] for r in rows]}, args.output)
-    return 0
+    return _emit_table(args, _RESIDUAL_COLUMNS, rows,
+                       alpha=alpha, gamma=args.gamma, delta=args.delta)
 
 
 def _cmd_lemma18(args) -> int:
@@ -220,14 +218,7 @@ def _cmd_lemma18(args) -> int:
         exact, expansion = special.elliott_ratio_check(params, args.x, n)
         resid = abs(exact - expansion)
         rows.append([n, exact, expansion, resid, n**3 * resid])
-    header = ["n", "exact", "expansion", "residual", "n3residual"]
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows), args.output)
-    else:
-        _emit_json({"command": "lemma18", "a": args.a, "b": args.b, "x": args.x,
-                    "columns": header,
-                    "rows": [[r[0]] + [float(v) for v in r[1:]] for r in rows]}, args.output)
-    return 0
+    return _emit_table(args, _RESIDUAL_COLUMNS, rows, a=args.a, b=args.b, x=args.x)
 
 
 def _cmd_oracle(args) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,15 +140,21 @@ class JacobiArc(ReflectionSequence):
     gamma: float
     delta: float
     params: special.ArcMeasureParams = field(init=False, compare=False)
+    # coefficients 1..len(_store) so far, and the ratio pass that extends them
+    _store: list[float] = field(init=False, compare=False, repr=False, default_factory=list)
+    _pass: Iterator[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "params", special.ArcMeasureParams(self.alpha, self.gamma, self.delta)
-        )
+        params = special.ArcMeasureParams(self.alpha, self.gamma, self.delta)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_pass", special.arc_reflections(params))
         self._validate_prefix()
 
     def raw_coeff(self, n: int) -> complex:
-        return complex(special.arc_reflection_exact(self.params, n))
+        store = self._store
+        while len(store) < n:
+            store.append(next(self._pass))
+        return complex(store[n - 1])
 
 
 @dataclass(frozen=True)

@@ -172,9 +172,7 @@ def envelope_check(a: complex, n_max: int, grid=None, epsilon: float = 0.0,
     aa = complex(a)
     arc = arc_from_a(aa)
     thetas = np.asarray(grid, dtype=float) if grid is not None else arc.grid(num_points, epsilon)
-    v = np.empty_like(thetas)
-    for i, t in enumerate(thetas):
-        v[i] = v_alpha(float(t), arc.alpha)
+    v = np.array([v_alpha(float(t), arc.alpha) for t in thetas], dtype=float)
     best_ratio = 0.0
     best = (0, float(thetas[0]))
     sup_lower = 0.0

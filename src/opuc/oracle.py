@@ -87,6 +87,8 @@ def lebesgue() -> MeasureSpec:
 
 
 def point_measure(theta: float, mass: float = 1.0) -> MeasureSpec:
+    if not (math.isfinite(theta) and math.isfinite(mass)):
+        raise DomainError(f"point mass needs finite theta and mass, got theta={theta}, mass={mass}")
     return MeasureSpec(density=None, pieces=(), point_masses=((theta % TWO_PI, mass),),
                        name="point")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geronimus, szego
-from .core import ReflectionSequence, arc_from_a, mat_norm
+from .core import ReflectionSequence, arc_from_a, mat_norm, unit_point
 from .errors import DomainError, InvalidRotationError
 
 # degree-0 value of the combined state matrix (phi, psi; phi*, -psi*)
@@ -78,15 +78,6 @@ def e_matrix(phi_n_zero: complex, a: complex, z: complex) -> np.ndarray:
     return np.array([[0.0, d], [zz * d.conjugate(), 0.0]], dtype=complex) / sq
 
 
-@dataclass(frozen=True)
-class NormalizedState:
-    """State matrix rescaled to the comparison system's leading coefficient."""
-
-    n: int
-    z: complex
-    matrix: np.ndarray
-
-
 def normalized_matrices(seq: ReflectionSequence, a: complex, n: int, z: complex) -> list[np.ndarray]:
     """Normalized state matrices at degrees 0..n via the one-step recursion."""
     om = omega(a, z)
@@ -94,10 +85,6 @@ def normalized_matrices(seq: ReflectionSequence, a: complex, n: int, z: complex)
     for k in range(1, n + 1):
         out.append((om + e_matrix(seq.coeff_at(k), a, z)) @ out[-1])
     return out
-
-
-def normalized_state(seq: ReflectionSequence, a: complex, n: int, z: complex) -> NormalizedState:
-    return NormalizedState(n=n, z=complex(z), matrix=normalized_matrices(seq, a, n, z)[n])
 
 
 def _branch_degenerate(a: complex, z: complex) -> bool:
@@ -389,30 +376,35 @@ def s_n_bound(seq: ReflectionSequence, a: complex, n: int, z) -> GronwallBound:
     run; S_n <= exp(cap) then holds by construction and is reported for the
     bound-chain consistency check.
     """
-    from .core import unit_point
-
     zz = unit_point(z)
-    arc = arc_from_a(a)
+    arc = arc_from_a(a)  # also the 0 < |a| < 1 check of e_matrix
     theta = cmath.phase(zz) % (2.0 * math.pi)
     if not arc.contains(theta, tol=1e-9):
         raise DomainError(f"z must lie on the closed arc, got angle {theta:.6g}")
     v = geronimus.v_alpha(theta, arc.alpha)
-    om = omega(a, zz)
-    state = STATE0.copy()
-    s = 1.0
-    log_s1 = 0.0
-    c1 = 0.0
-    weighted_tail = 0.0
+    # omega(a, z), e_matrix and the state matrix as local scalars, scaled by
+    # the reciprocal of the square root as numpy's complex-by-real divide does
+    aa = complex(a)
+    inv_sq = 1.0 / math.sqrt(1.0 - abs(aa) ** 2)
+    o11, o12, o21, o22 = zz * inv_sq, aa * inv_sq, zz * aa.conjugate() * inv_sq, inv_sq
+    s11, s12, s21, s22 = 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, -1.0 + 0j  # STATE0
+    s, log_s1, c1, weighted_tail = 1.0, 0.0, 0.0, 0.0
     for k in range(1, n + 1):
-        e_k = e_matrix(seq.coeff_at(k), a, zz)
-        e_norm = mat_norm(e_k)
-        c1 = max(c1, mat_norm(state) / (s * min(float(k), v)))
-        s = s + e_norm * mat_norm(state)
+        d = seq.coeff_at(k) - aa
+        e12 = d * inv_sq
+        e21 = zz * d.conjugate() * inv_sq
+        e_norm = max(abs(e21), abs(e12))  # column sums of (0, e12; e21, 0)
+        state_norm = max(abs(s11) + abs(s21), abs(s12) + abs(s22))  # mat_norm(state)
+        w = min(float(k), v)
+        c1 = max(c1, state_norm / (s * w))
+        s = s + e_norm * state_norm
         if k == 1:
             log_s1 = math.log(s)
         else:
-            weighted_tail += min(float(k), v) * e_norm
-        state = (om + e_k) @ state
+            weighted_tail += w * e_norm
+        t12, t21 = o12 + e12, o21 + e21
+        s11, s12, s21, s22 = (o11 * s11 + t12 * s21, o11 * s12 + t12 * s22,
+                              t21 * s11 + o22 * s21, t21 * s12 + o22 * s22)
     return GronwallBound(n=n, s_n=s, log_cap=log_s1 + c1 * weighted_tail, c1_star=c1)
 
 

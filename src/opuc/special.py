@@ -20,8 +20,9 @@ raw polynomial values would overflow.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count, islice
 
 from .errors import DomainError
 
@@ -116,21 +117,26 @@ def _jacobi_step(a: float, b: float, m: int, x: float, pm: float, pm1: float) ->
     return (c1 * pm - c2 * pm1) / c0
 
 
+def _jacobi_ratios(p: JacobiParams, x: float) -> Iterator[float]:
+    """P_{m+1}/P_m at x for m = 0, 1, 2, ... in one forward pass of the ratio recurrence."""
+    a, b = p.a, p.b
+    rho = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x  # P_1 / P_0
+    s = a + b
+    for m in count(1):
+        yield rho
+        c0 = 2.0 * (m + 1.0) * (m + s + 1.0) * (2.0 * m + s)
+        c1 = (2.0 * m + s + 1.0) * ((2.0 * m + s) * (2.0 * m + s + 2.0) * x + a * a - b * b)
+        c2 = 2.0 * (m + a) * (m + b) * (2.0 * m + s + 2.0)
+        rho = (c1 - c2 / rho) / c0
+
+
 def jacobi_ratio(p: JacobiParams, n: int, x: float) -> float:
     """P_{n+1}/P_n at x >= 1 by the ratio form of the recurrence (no overflow)."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
     if x < 1.0:
         raise DomainError("ratio recursion requires x >= 1 (polynomials are zero-free there)")
-    a, b = p.a, p.b
-    rho = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x  # P_1 / P_0
-    s = a + b
-    for m in range(1, n + 1):
-        c0 = 2.0 * (m + 1.0) * (m + s + 1.0) * (2.0 * m + s)
-        c1 = (2.0 * m + s + 1.0) * ((2.0 * m + s) * (2.0 * m + s + 2.0) * x + a * a - b * b)
-        c2 = 2.0 * (m + a) * (m + b) * (2.0 * m + s + 2.0)
-        rho = (c1 - c2 / rho) / c0
-    return rho
+    return next(islice(_jacobi_ratios(p, x), n, None))
 
 
 def _combine_parity(r_plus: float, r_minus: float, n: int) -> float:
@@ -148,26 +154,34 @@ def _combine_parity(r_plus: float, r_minus: float, n: int) -> float:
     return (r_plus + r_minus) / denom
 
 
-@lru_cache(maxsize=None)
-def _monic_ratios(alpha: float, gamma: float, delta: float, m: int) -> tuple[float, float]:
-    """Ratios of consecutive monic polynomials of the mapped arc measure at +1 and -1."""
-    c = math.cos(alpha)
-    one_plus_c = 2.0 * math.cos(alpha / 2.0) ** 2  # stable 1 + cos(alpha)
-    x0 = (3.0 - c) / one_plus_c
-    e = gamma + delta / 2.0
-    denom = (2.0 * m + e + 0.5) * (2.0 * m + e + 1.5)
-    params = JacobiParams(gamma, (delta - 1.0) / 2.0)
-    r_plus = one_plus_c * (m + 1.0) * (m + e + 0.5) / denom * jacobi_ratio(params, m, x0)
-    r_minus = -one_plus_c * (m + delta / 2.0 + 0.5) * (m + e + 0.5) / denom
-    return r_plus, r_minus
+def _monic_ratios(p: ArcMeasureParams, start: int = 0) -> Iterator[tuple[float, float]]:
+    """Ratios of consecutive monic polynomials of the mapped arc measure at +1
+    and -1, for m = start, start + 1, ...; the Jacobi ratios below start are
+    advanced but not combined (m = 0 is 0/0 when gamma + delta/2 = -1/2)."""
+    one_plus_c = 2.0 * math.cos(p.alpha / 2.0) ** 2  # stable 1 + cos(alpha)
+    x0 = (3.0 - math.cos(p.alpha)) / one_plus_c  # >= 1 on [0, pi)
+    e = p.gamma + p.delta / 2.0
+    for m, rho in islice(enumerate(_jacobi_ratios(p.jacobi, x0)), start, None):
+        denom = (2.0 * m + e + 0.5) * (2.0 * m + e + 1.5)
+        r_plus = one_plus_c * (m + 1.0) * (m + e + 0.5) / denom * rho
+        r_minus = -one_plus_c * (m + p.delta / 2.0 + 0.5) * (m + e + 0.5) / denom
+        yield r_plus, r_minus
+
+
+def arc_reflections(p: ArcMeasureParams) -> Iterator[float]:
+    """Exact reflection coefficients of the arc measure at n = 1, 2, 3, ...;
+    index n combines the ratios at m = n // 2, so each costs O(1)."""
+    for m, (r_plus, r_minus) in enumerate(_monic_ratios(p)):
+        if m:
+            yield _combine_parity(r_plus, r_minus, 2 * m)
+        yield _combine_parity(r_plus, r_minus, 2 * m + 1)
 
 
 def arc_reflection_exact(p: ArcMeasureParams, n: int) -> float:
     """Exact reflection coefficient of the arc measure at index n >= 1."""
     if n < 1:
         raise DomainError("reflection coefficients are indexed from 1")
-    m = n // 2
-    r_plus, r_minus = _monic_ratios(p.alpha, p.gamma, p.delta, m)
+    r_plus, r_minus = next(_monic_ratios(p, n // 2))
     return _combine_parity(r_plus, r_minus, n)
 
 

@@ -57,10 +57,7 @@ def hessenberg(seq: ReflectionSequence, n_dim: int, max_dim: int = DEFAULT_MAX_D
         raise DomainError(f"dimension must be >= 1, got {n_dim}")
     if n_dim > max_dim:
         raise DomainError(f"dimension {n_dim} exceeds the cap {max_dim}; pass max_dim to override")
-    phis = np.empty(n_dim + 1, dtype=complex)
-    phis[0] = 1.0
-    for k in range(1, n_dim + 1):
-        phis[k] = seq.coeff_at(k)
+    phis = np.array([1.0, *seq.coeffs(n_dim)], dtype=complex)
     log_r = 0.5 * np.log1p(-np.abs(phis[1:]) ** 2)  # log sqrt(1 - |c_k|^2), k = 1..N
     log_prefix = np.concatenate(([0.0], np.cumsum(log_r)))
     u = np.zeros((n_dim, n_dim), dtype=complex)
@@ -79,10 +76,7 @@ def diagonal_norms(seq: ReflectionSequence, n_dim: int, j_max: int) -> list[floa
     """
     if not 0 <= j_max < n_dim:
         raise DomainError(f"need 0 <= j_max < dimension, got j_max={j_max}, dim={n_dim}")
-    phis = np.empty(n_dim + 1, dtype=complex)
-    phis[0] = 1.0
-    for k in range(1, n_dim + 1):
-        phis[k] = seq.coeff_at(k)
+    phis = np.array([1.0, *seq.coeffs(n_dim)], dtype=complex)
     mods = np.abs(phis)
     log_r = 0.5 * np.log1p(-mods[1:] ** 2)
     log_prefix = np.concatenate(([0.0], np.cumsum(log_r)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -87,6 +88,26 @@ def test_example17_csv(capsys):
     assert max(tail_resid) < 1.0
 
 
+def test_example17_output_unchanged(capsys):
+    # SHA-256 of the output of the per-index coefficient formula that the one
+    # forward ratio pass replaced
+    argv = ("example17", "--alpha", "2.2", "--gamma", "0.6", "--delta", "-0.3",
+            "--nmax", "1500")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[1] == ("1,0.92614122617403649,0.91713765388791602,"
+                        "0.0090035722861204759,0.0090035722861204759")
+    assert lines[1500] == ("1500,0.89118679675603119,0.89118679676247869,"
+                           "6.4475091932081341e-12,0.021760343527077453")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "55b64b0714ed436879d0e2b102f8786af3601cbc18499052964745829bb3f150")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1c89fa5ac25a58d72711d920754aaaea90c7f521469ab7c126b9360aba2a26b7")
+
+
 def test_lemma18_csv(capsys):
     code, out, _ = run(capsys, "lemma18", "--a", "0.3", "--b", "0.7", "--x", "1.8",
                        "--nmax", "60")
@@ -151,6 +172,12 @@ def test_validation_errors_exit_one(capsys):
 @pytest.mark.parametrize("spec", ["const:nan", "const:0.5,nan"])
 def test_nan_coefficients_exit_one(capsys, spec):
     code, out, err = run(capsys, "eval", "--coeffs", spec, "--n", "10")
+    assert code == 1 and err and not out
+
+
+def test_nan_point_measure_exit_one(capsys):
+    code, out, err = run(capsys, "oracle", "--mode", "moments", "--measure",
+                         "point:theta=nan", "--K", "2")
     assert code == 1 and err and not out
 
 

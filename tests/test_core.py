@@ -1,9 +1,11 @@
 import cmath
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from opuc import special
 from opuc.core import (
     ArcSpec,
     Constant,
@@ -170,6 +172,28 @@ def test_jacobi_arc_in_disk_sampled():
     seq = JacobiArc(math.pi / 2, 0.3, 0.7)
     indices = list(range(1, 201)) + [2**k for k in range(8, 14)]
     assert all(abs(seq.coeff_at(n)) < 1.0 for n in indices)
+
+
+def test_jacobi_arc_store_matches_exact_coefficients():
+    seq = JacobiArc(2.0, -0.3, 0.4)
+    values = seq.coeffs(2500)
+    fresh = JacobiArc(2.0, -0.3, 0.4)
+    order = [2500, 7, 1999, 1, 2000, 64, 65]  # jumps ahead, then reads back
+    assert [fresh.coeff_at(k) for k in order] == [values[k - 1] for k in order]
+    assert fresh.coeffs(2500) == values
+    for k in order:
+        assert values[k - 1] == complex(special.arc_reflection_exact(seq.params, k))
+
+
+def test_jacobi_arc_instances_keep_their_own_store():
+    a = JacobiArc(1.0, 0.3, 0.7)
+    b = JacobiArc(2.5, -0.4, 0.1)
+    a.coeffs(1000)
+    assert b.coeffs(1000) == [complex(v) for v in islice(special.arc_reflections(b.params), 1000)]
+    assert a.coeffs(1000) != b.coeffs(1000)
+    # the store is not part of equality, hashing or repr
+    twin = JacobiArc(1.0, 0.3, 0.7)
+    assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
 
 
 def test_perturbed_is_index_stable():

@@ -159,6 +159,20 @@ def test_parse_measure_forms():
         oracle.parse_measure("geronimus:b=1")
 
 
+@pytest.mark.parametrize("theta,mass", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_point_measure_rejects_non_finite(theta, mass):
+    with pytest.raises(DomainError):
+        oracle.point_measure(theta, mass)
+
+
+@pytest.mark.parametrize("spec", [
+    "point:theta=nan", "point:theta=inf", "point:theta=1,mass=nan", "point:theta=1,mass=-inf"])
+def test_parse_measure_rejects_non_finite_point(spec):
+    with pytest.raises(SequenceSpecError):
+        oracle.parse_measure(spec)
+
+
 def test_quadrature_handles_negative_exponents():
     # gamma, delta in (-1, 0): endpoint and midpoint singularities regularized
     mom = oracle.trig_moments(oracle.arc_jacobi_measure(0.8, -0.5, -0.5), 6)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opuc import geronimus, perturbation, szego
-from opuc.core import Constant, JacobiArc, Perturbed, mat_norm
+from opuc.core import Constant, JacobiArc, Perturbed, arc_from_a, mat_norm
 from opuc.errors import DomainError, InvalidRotationError
 
 
@@ -35,11 +35,11 @@ def test_normalized_state_matches_direct_rescaling():
     seq = Perturbed(a=0.5, amplitude=1.0, p=2.0)
     z = cmath.exp(2.7j)
     n = 25
-    ns = perturbation.normalized_state(seq, 0.5, n, z)
+    ns = perturbation.normalized_matrices(seq, 0.5, n, z)[n]
     st = szego.evaluate(seq, n, z)
     scale = st.kappa * (1.0 - 0.25) ** (n / 2.0)
     direct = st.as_matrix() / scale
-    assert np.max(np.abs(ns.matrix - direct)) / np.max(np.abs(direct)) < 1e-12
+    assert np.max(np.abs(ns - direct)) / np.max(np.abs(direct)) < 1e-12
 
 
 def test_comparison_identity_constant_is_degree_zero_state():
@@ -195,6 +195,45 @@ def test_s_n_bound_gronwall_chain_on_grid():
         assert g.c1_star > 0.0
 
 
+def _s_n_bound_matrix_form(seq, a, n, z):
+    # the correction sum with numpy 2 x 2 matrices: the reference for s_n_bound
+    theta = cmath.phase(z) % (2.0 * math.pi)
+    v = geronimus.v_alpha(theta, arc_from_a(a).alpha)
+    om = perturbation.omega(a, z)
+    state = perturbation.STATE0.copy()
+    s, log_s1, c1, weighted_tail = 1.0, 0.0, 0.0, 0.0
+    for k in range(1, n + 1):
+        e_k = perturbation.e_matrix(seq.coeff_at(k), a, z)
+        e_norm = mat_norm(e_k)
+        c1 = max(c1, mat_norm(state) / (s * min(float(k), v)))
+        s = s + e_norm * mat_norm(state)
+        if k == 1:
+            log_s1 = math.log(s)
+        else:
+            weighted_tail += min(float(k), v) * e_norm
+        state = (om + e_k) @ state
+    return s, log_s1 + c1 * weighted_tail, c1
+
+
+@pytest.mark.parametrize("seq,a", [
+    (Constant(0.5), 0.5),
+    (Perturbed(a=0.5, amplitude=1.0, p=2.0), 0.5),
+    (Perturbed(a=0.4 + 0.1j, amplitude=0.8, p=1.5, sign="alt"), 0.4 + 0.1j),
+])
+def test_s_n_bound_matches_matrix_form(seq, a):
+    # numpy's complex 2 x 2 product rounds differently from scalar code, so
+    # the two forms agree to rounding, not bit for bit
+    alpha = arc_from_a(a).alpha
+    for theta in (alpha + 1e-4, alpha + 0.05, math.pi, 2.0 * math.pi - alpha - 1e-4):
+        z = cmath.exp(1j * theta)
+        g = perturbation.s_n_bound(seq, a, 2000, z)
+        ref = _s_n_bound_matrix_form(seq, a, 2000, z)
+        for got, want in zip((g.s_n, g.log_cap, g.c1_star), ref):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        if isinstance(seq, Constant):
+            assert g.s_n == 1.0
+
+
 def test_s_n_bound_rejects_off_arc_point():
     with pytest.raises(DomainError):
         perturbation.s_n_bound(Constant(0.5), 0.5, 10, cmath.exp(0.1j))
@@ -226,10 +265,10 @@ def test_sup_envelope_rejects_unknown_weight():
 def test_zero_perturbation_reduces_to_closed_forms():
     # every operation at seq = Constant(a) collapses to the comparison system
     z = cmath.exp(2.9j)
-    ns = perturbation.normalized_state(Constant(0.5), 0.5, 30, z)
+    ns = perturbation.normalized_matrices(Constant(0.5), 0.5, 30, z)[30]
     st = geronimus.closed_eval(0.5, 30, z)
     scale = max(1.0, float(np.max(np.abs(st.as_matrix()))))
-    assert np.max(np.abs(ns.matrix - st.as_matrix())) / scale < 1e-8
+    assert np.max(np.abs(ns - st.as_matrix())) / scale < 1e-8
 
 
 def test_condition_report_json_shape():

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -194,3 +195,45 @@ def test_value_guard_raises_before_overflow():
     p = special.JacobiParams(0.3, -0.15)
     with pytest.raises(DomainError):
         special.jacobi_value(p, 2000, 3.0)
+
+
+def _per_index_ratio(a, b, n, x):
+    # P_{n+1}/P_n rerun from m = 1 for each n: the reference for the one pass
+    rho = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    s = a + b
+    for m in range(1, n + 1):
+        c0 = 2.0 * (m + 1.0) * (m + s + 1.0) * (2.0 * m + s)
+        c1 = (2.0 * m + s + 1.0) * ((2.0 * m + s) * (2.0 * m + s + 2.0) * x + a * a - b * b)
+        c2 = 2.0 * (m + a) * (m + b) * (2.0 * m + s + 2.0)
+        rho = (c1 - c2 / rho) / c0
+    return rho
+
+
+def _per_index_reflection(alpha, gamma, delta, n):
+    m = n // 2
+    c = math.cos(alpha)
+    one_plus_c = 2.0 * math.cos(alpha / 2.0) ** 2
+    x0 = (3.0 - c) / one_plus_c
+    e = gamma + delta / 2.0
+    denom = (2.0 * m + e + 0.5) * (2.0 * m + e + 1.5)
+    rho = _per_index_ratio(gamma, (delta - 1.0) / 2.0, m, x0)
+    r_plus = one_plus_c * (m + 1.0) * (m + e + 0.5) / denom * rho
+    r_minus = -one_plus_c * (m + delta / 2.0 + 0.5) * (m + e + 0.5) / denom
+    if n % 2 == 0:
+        return r_plus - r_minus - 1.0
+    return (r_plus + r_minus) / (r_plus - r_minus)
+
+
+@pytest.mark.parametrize("alpha,gamma,delta", [
+    (math.pi / 2, 0.3, 0.7), (0.0, 0.2, 0.1), (2.4, -0.4, 0.5)])
+def test_one_pass_is_bit_identical_to_per_index_formula(alpha, gamma, delta):
+    p = special.ArcMeasureParams(alpha, gamma, delta)
+    n_max = 2000
+    expected = [_per_index_reflection(alpha, gamma, delta, n) for n in range(1, n_max + 1)]
+    assert list(islice(special.arc_reflections(p), n_max)) == expected
+    for n in (1, 2, 3, 1000, n_max - 1, n_max):
+        assert special.arc_reflection_exact(p, n) == expected[n - 1]
+    for n in (0, 1, 7, 999):
+        assert special.jacobi_ratio(p.jacobi, n, 1.7) == _per_index_ratio(
+            p.jacobi.a, p.jacobi.b, n, 1.7)
+
