@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -214,8 +215,8 @@ def _cmd_example17(args) -> int:
 def _cmd_lemma18(args) -> int:
     params = special.JacobiParams(args.a, args.b)
     rows = []
-    for n in range(2, args.nmax + 1):
-        exact, expansion = special.elliott_ratio_check(params, args.x, n)
+    checks = islice(special.elliott_ratio_checks(params, args.x), 1, None)
+    for n, (exact, expansion) in zip(range(2, args.nmax + 1), checks):
         resid = abs(exact - expansion)
         rows.append([n, exact, expansion, resid, n**3 * resid])
     return _emit_table(args, _RESIDUAL_COLUMNS, rows, a=args.a, b=args.b, x=args.x)

@@ -39,7 +39,7 @@ class SequenceSpecError(ValueError):
 
 
 class QuadratureAccuracyError(RuntimeError):
-    """Adaptive quadrature could not reach the requested accuracy."""
+    """Quadrature could not reach the requested accuracy."""
 
     def __init__(self, estimate: float, target: float, context: str = ""):
         self.estimate = estimate

@@ -1,9 +1,15 @@
 """Measure-side ground truth, independent of every recurrence.
 
 A measure is specified as an arc density (with endpoint-singularity hints)
-plus a list of point masses. Trigonometric moments come from adaptive
-Gauss-Kronrod quadrature with power substitutions that regularize algebraic
-endpoint singularities; point masses contribute exactly. Reflection
+plus a list of point masses. Trigonometric moments come from one
+Gauss-Jacobi rule per support piece whose weight carries the piece's
+endpoint exponents (Golub & Welsch, Math. Comp. 23, 1969): the density is
+evaluated once per node and all moments are one matrix-vector product. The
+rule doubles from 32 nodes until two successive rules agree, and their
+difference is the reported error; a piece that does not settle by 1,024
+nodes (a mass point just outside an arc end) falls back to adaptive
+Gauss-Kronrod quadrature with power substitutions that regularize the
+endpoint singularities. Point masses contribute exactly. Reflection
 coefficients are then recovered by monic orthogonalization against the
 monomials under the moment inner product, which is the inversion of the
 existence theorem: coefficients in, measure out, moments back, coefficients
@@ -12,9 +18,10 @@ definiteness loss is detected, not hidden) and practical through order 15-20
 in double precision; tests respect that limit.
 
 Also here: the arc-mass reconstruction from the reciprocal squared
-orthonormal polynomials, and grid-based lower bounds ("floors") for the
-density. The floor approximates a limsup by a max over the top half of the
-degree window, which is reported, not hidden.
+orthonormal polynomials (composite Gauss-Legendre over a grid sweep, panels
+doubled until two rules agree), and grid-based lower bounds ("floors") for
+the density. The floor approximates a limsup by a max over the top half of
+the degree window, which is reported, not hidden.
 """
 
 from __future__ import annotations
@@ -22,14 +29,14 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from . import geronimus as geronimus_mod
 from . import special, szego
@@ -44,6 +51,10 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 
 MOMENT_ERROR_TARGET = 1e-10
+GAUSS_START_NODES = 32
+GAUSS_MAX_NODES = 1024
+
+RECONSTRUCT_ERROR_TARGET = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,12 +119,8 @@ def geronimus_measure(a: complex) -> MeasureSpec:
 @lru_cache(maxsize=64)
 def _arc_jacobi_normalization(alpha: float, gamma: float, delta: float) -> float:
     params = special.ArcMeasureParams(alpha, gamma, delta)
-    pieces = _arc_jacobi_pieces(alpha, gamma, delta)
-    total = 0.0
-    for piece in pieces:
-        val, _ = _integrate_piece(params.weight, piece, 400)
-        total += val
-    return total
+    return sum(_piece_moments(params.weight, piece, 0, 400)[0][0].real
+               for piece in _arc_jacobi_pieces(alpha, gamma, delta))
 
 
 def _arc_jacobi_pieces(alpha: float, gamma: float, delta: float) -> tuple[SupportPiece, ...]:
@@ -174,6 +181,65 @@ def _integrate_piece(f: Callable[[float], float], piece: SupportPiece,
     return total, err
 
 
+@lru_cache(maxsize=64)
+def _jacobi_rule(n: int, exponent_lo: float, exponent_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    # roots_jacobi's weight (1 - x)^a (1 + x)^b puts a at the upper end
+    return roots_jacobi(n, exponent_hi, exponent_lo)
+
+
+def _gauss_jacobi_moments(f: Callable[[float], float], piece: SupportPiece,
+                          order: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Integrals of f(t) e^(-i k t) over a piece, k = 0..order, by Gauss-Jacobi rules.
+
+    The rule's weight (t - lo)^exponent_lo (hi - t)^exponent_hi takes the
+    endpoint behavior of f, so f divided by it is smooth. Doubles the rule
+    from GAUSS_START_NODES until two successive rules agree within
+    MOMENT_ERROR_TARGET on every moment and returns (values, differences);
+    None if GAUSS_MAX_NODES passes without agreement.
+    """
+    half = 0.5 * (piece.hi - piece.lo)
+    ks = np.arange(order + 1)
+    prev = None
+    n = GAUSS_START_NODES
+    while n <= GAUSS_MAX_NODES:
+        x, w = _jacobi_rule(n, piece.exponent_lo, piece.exponent_hi)
+        t = piece.lo + half * (1.0 + x)
+        fw = np.array([f(ti) for ti in t]) * (
+            half * w / ((1.0 + x) ** piece.exponent_lo * (1.0 - x) ** piece.exponent_hi))
+        # 128 moments at a time bounds the phase matrix at any order
+        vals = np.concatenate([np.exp(-1j * np.outer(ks[i:i + 128], t)) @ fw
+                               for i in range(0, order + 1, 128)])
+        if prev is not None:
+            diff = np.abs(vals.real - prev.real) + np.abs(vals.imag - prev.imag)
+            if diff.max() <= MOMENT_ERROR_TARGET:
+                return vals, diff
+        prev = vals
+        n *= 2
+    return None
+
+
+def _piece_moments(f: Callable[[float], float], piece: SupportPiece, order: int,
+                   node_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) of the moments of f over a piece, k = 0..order.
+
+    Gauss-Jacobi when the doubled rules agree, else one adaptive quadrature
+    per moment, stopping after the first moment that misses
+    MOMENT_ERROR_TARGET (the remaining entries stay 0).
+    """
+    rule = _gauss_jacobi_moments(f, piece, order)
+    if rule is not None:
+        return rule
+    vals = np.zeros(order + 1, dtype=complex)
+    errs = np.zeros(order + 1)
+    for k in range(order + 1):
+        def integrand(t, _k=k):
+            return f(t) * cmath.exp(-1j * _k * t)
+        vals[k], errs[k] = _integrate_piece(integrand, piece, node_budget)
+        if errs[k] > MOMENT_ERROR_TARGET:
+            break
+    return vals, errs
+
+
 @dataclass(frozen=True)
 class TrigMoments:
     """Moments c_k of e^(-i k t); Hermitian symmetry is implicit in c()."""
@@ -188,26 +254,28 @@ class TrigMoments:
 
 
 def trig_moments(measure: MeasureSpec, order: int) -> TrigMoments:
-    """Moments by quadrature plus exact point-mass terms, normalized so c_0 = 1."""
+    """Moments by quadrature plus exact point-mass terms, normalized so c_0 = 1.
+
+    Raises QuadratureAccuracyError at the first moment whose error estimate,
+    summed over the pieces, exceeds MOMENT_ERROR_TARGET.
+    """
     if order < 0:
         raise DomainError(f"moment order must be nonnegative, got {order}")
     raw = np.zeros(order + 1, dtype=complex)
+    if measure.density is not None:
+        errs = np.zeros(order + 1)
+        for piece in measure.pieces:
+            vals, e = _piece_moments(measure.density, piece, order, measure.node_budget)
+            raw += vals
+            errs += e
+        over = np.flatnonzero(errs > MOMENT_ERROR_TARGET)
+        if over.size:
+            k = int(over[0])
+            raise QuadratureAccuracyError(float(errs[k]), MOMENT_ERROR_TARGET,
+                                          context=f"moment {k} of {measure.name}")
     for k in range(order + 1):
-        total = 0.0 + 0.0j
-        err = 0.0
-        if measure.density is not None:
-            for piece in measure.pieces:
-                def integrand(t, _k=k):
-                    return measure.density(t) * cmath.exp(-1j * _k * t)
-                val, e = _integrate_piece(integrand, piece, measure.node_budget)
-                total += val
-                err += e
-            if err > MOMENT_ERROR_TARGET:
-                raise QuadratureAccuracyError(err, MOMENT_ERROR_TARGET,
-                                              context=f"moment {k} of {measure.name}")
         for theta, mass in measure.point_masses:
-            total += mass * cmath.exp(-1j * k * theta)
-        raw[k] = total
+            raw[k] += mass * cmath.exp(-1j * k * theta)
     c0 = raw[0].real
     if abs(c0 - 1.0) > 1e-6:
         raise DomainError(
@@ -296,43 +364,77 @@ def verblunsky_from_moments(moments: TrigMoments, n: int) -> VerblunskyRecovery:
     return VerblunskyRecovery(coefficients=coeffs, kappas=kappas)
 
 
-def reconstruct_arc_mass(seq: ReflectionSequence, subarc: tuple[float, float], n: int,
-                         node_budget: int | None = None) -> float:
+def reconstruct_arc_mass(seq: ReflectionSequence, subarc: tuple[float, float], n: int) -> float:
     """Mass of a subarc from the reciprocal squared orthonormal polynomial.
 
     Integrates |phi_n(e^(i t))|^(-2) / (2 pi) over the subarc; as the degree
     grows this converges to the measure of the subarc. Gap regions, where
-    the polynomial grows exponentially, integrate to 0 harmlessly. The
-    integrand oscillates on the scale 1/n, so the subdivision budget scales
-    with the degree; the subdivision-limit warning is expected there and the
-    value remains within the convergence tolerance of the limit itself.
+    the polynomial grows exponentially, integrate to 0 harmlessly; a mass
+    point is a peak whose width shrinks geometrically with n.
+
+    The integrand oscillates on the scale 1/n, and zeros of phi_n near the
+    circle (by the arc ends, at mass points) make narrower peaks, so the
+    rule is composite 8-point Gauss-Legendre from 2n equal panels, each
+    panel halved until its halves agree with it within
+    RECONSTRUCT_ERROR_TARGET times the larger of its share of the subarc
+    and its own value. The summed disagreement, the error estimate, is then
+    at most the target times (1 + the integral), as for adaptive quadrature
+    with equal absolute and relative tolerances. All nodes of one halving
+    level advance together through one grid sweep. Past 64 max(n, 8)
+    panels the estimate is raised as QuadratureAccuracyError.
     """
     lo, hi = subarc
     if not lo < hi:
         raise DomainError(f"subarc must satisfy theta1 < theta2, got {subarc}")
+    if hi - lo > TWO_PI:  # also an infinite end; NaN fails the check above
+        raise DomainError(f"subarc must not exceed the circle, got length {hi - lo:.6g}")
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    coeffs = seq.coeffs(n)
-    budget = node_budget if node_budget is not None else max(300, 2 * n)
+    max_panels = 64 * max(n, 8)
+    panels = 2 * n
+    width = np.full(panels, (hi - lo) / panels)
+    left = lo + width * np.arange(panels)
+    coarse = _gauss_legendre_panels(seq, left, width, n)
+    total = err = 0.0
+    while True:
+        half = 0.5 * width
+        halves = _gauss_legendre_panels(seq, np.concatenate((left, left + half)),
+                                        np.concatenate((half, half)), n)
+        fine = halves[: len(left)] + halves[len(left):]
+        diff = np.abs(fine - coarse)
+        done = diff <= RECONSTRUCT_ERROR_TARGET * np.maximum(width / (hi - lo), fine)
+        total += float(np.sum(fine[done]))
+        err += float(np.sum(diff[done]))
+        if done.all():
+            return total / TWO_PI
+        split = ~done
+        panels += int(np.count_nonzero(split))
+        if panels > max_panels:
+            raise QuadratureAccuracyError(err + float(np.sum(diff[split])),
+                                          RECONSTRUCT_ERROR_TARGET,
+                                          context=f"arc mass of {subarc} at degree {n}")
+        left = np.concatenate((left[split], left[split] + half[split]))
+        width = np.concatenate((half[split], half[split]))
+        coarse = halves[np.concatenate((split, split))]
 
-    def integrand(t: float) -> float:
-        z = cmath.exp(1j * t)
-        phi, _ = _phi_pair_fast(coeffs, z)
-        mod2 = phi.real**2 + phi.imag**2
-        return 1.0 / mod2 if math.isfinite(mod2) and mod2 > 0.0 else 0.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, lo, hi, limit=budget, epsabs=1e-9, epsrel=1e-9)
-    return val / TWO_PI
+_SWEEP_CHUNK = 1 << 16  # nodes per grid sweep; bounds the sweep's buffers
 
 
-def _phi_pair_fast(coeffs: list[complex], z: complex) -> tuple[complex, complex]:
-    phi = phi_star = 1.0 + 0.0j
-    for b in coeffs:
-        r = math.sqrt(1.0 - (b.real**2 + b.imag**2))
-        phi, phi_star = (z * phi + b * phi_star) / r, (z * b.conjugate() * phi + phi_star) / r
-    return phi, phi_star
+def _gauss_legendre_panels(seq: ReflectionSequence, left: np.ndarray, width: np.ndarray,
+                           n: int) -> np.ndarray:
+    """8-point Gauss-Legendre integral of |phi_n|^(-2) over each panel [left, left + width]."""
+    x, w = _jacobi_rule(8, 0.0, 0.0)
+    t = (left[:, None] + 0.5 * width[:, None] * (x + 1.0)).ravel()
+    inv = np.empty_like(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(0, t.size, _SWEEP_CHUNK):
+            for _, abs_phi in szego.sweep_abs_phi(seq, t[i:i + _SWEEP_CHUNK], n):
+                pass
+            mod2 = abs_phi * abs_phi
+            # phi overflows in a gap, where the true integrand is below 1e-300
+            inv[i:i + _SWEEP_CHUNK] = np.where(np.isfinite(mod2) & (mod2 > 0.0), 1.0 / mod2, 0.0)
+    return 0.5 * width * (inv.reshape(-1, 8) @ w)
 
 
 @dataclass(frozen=True)

@@ -154,17 +154,21 @@ def _combine_parity(r_plus: float, r_minus: float, n: int) -> float:
     return (r_plus + r_minus) / denom
 
 
-def _monic_ratios(p: ArcMeasureParams, start: int = 0) -> Iterator[tuple[float, float]]:
+def _monic_ratios(p: ArcMeasureParams) -> Iterator[tuple[float, float]]:
     """Ratios of consecutive monic polynomials of the mapped arc measure at +1
-    and -1, for m = start, start + 1, ...; the Jacobi ratios below start are
-    advanced but not combined (m = 0 is 0/0 when gamma + delta/2 = -1/2)."""
+    and -1, for m = 0, 1, 2, ..."""
     one_plus_c = 2.0 * math.cos(p.alpha / 2.0) ** 2  # stable 1 + cos(alpha)
     x0 = (3.0 - math.cos(p.alpha)) / one_plus_c  # >= 1 on [0, pi)
     e = p.gamma + p.delta / 2.0
-    for m, rho in islice(enumerate(_jacobi_ratios(p.jacobi, x0)), start, None):
+    for m, rho in enumerate(_jacobi_ratios(p.jacobi, x0)):
+        num = m + e + 0.5
         denom = (2.0 * m + e + 0.5) * (2.0 * m + e + 1.5)
-        r_plus = one_plus_c * (m + 1.0) * (m + e + 0.5) / denom * rho
-        r_minus = -one_plus_c * (m + p.delta / 2.0 + 0.5) * (m + e + 0.5) / denom
+        if denom == 0.0:
+            # m = 0 with e = -1/2: the factor (e + 1/2) / denom is 0/0 there,
+            # and its limit in the parameters is 1/(e + 3/2)
+            num, denom = 1.0, e + 1.5
+        r_plus = one_plus_c * (m + 1.0) * num / denom * rho
+        r_minus = -one_plus_c * (m + p.delta / 2.0 + 0.5) * num / denom
         yield r_plus, r_minus
 
 
@@ -181,7 +185,7 @@ def arc_reflection_exact(p: ArcMeasureParams, n: int) -> float:
     """Exact reflection coefficient of the arc measure at index n >= 1."""
     if n < 1:
         raise DomainError("reflection coefficients are indexed from 1")
-    r_plus, r_minus = next(_monic_ratios(p, n // 2))
+    r_plus, r_minus = next(islice(_monic_ratios(p), n // 2, None))
     return _combine_parity(r_plus, r_minus, n)
 
 
@@ -241,17 +245,21 @@ def elliott_ratio_check(p: JacobiParams, x: float, n: int) -> tuple[float, float
 
     Returns (exact, expansion); the difference is O(1/n^3).
     """
-    if x <= 1.0:
-        raise DomainError(f"requires x > 1, got {x}")
     if n < 1:
         raise DomainError("degree must be at least 1")
+    return next(islice(elliott_ratio_checks(p, x), n - 1, None))
+
+
+def elliott_ratio_checks(p: JacobiParams, x: float) -> Iterator[tuple[float, float]]:
+    """elliott_ratio_check at n = 1, 2, 3, ... from one pass of the ratio recurrence."""
+    if x <= 1.0:
+        raise DomainError(f"requires x > 1, got {x}")
     s = p.a + p.b
-    prefactor = (n + 1.0) * (n + s + 1.0) / ((2.0 * n + s + 2.0) * (2.0 * n + s + 1.0))
-    exact = prefactor * jacobi_ratio(p, n, x)
-    expansion = ((x + math.sqrt(x * x - 1.0)) / 4.0) * (
-        1.0 - elliott_A(x, p.a, p.b) / (2.0 * n * n)
-    )
-    return exact, expansion
+    lead = (x + math.sqrt(x * x - 1.0)) / 4.0
+    a2 = elliott_A(x, p.a, p.b)
+    for n, rho in islice(enumerate(_jacobi_ratios(p, x)), 1, None):
+        prefactor = (n + 1.0) * (n + s + 1.0) / ((2.0 * n + s + 2.0) * (2.0 * n + s + 1.0))
+        yield prefactor * rho, lead * (1.0 - a2 / (2.0 * n * n))
 
 
 def trig_identity(alpha: float) -> tuple[float, float]:

@@ -117,6 +117,30 @@ def test_lemma18_csv(capsys):
     assert max(float(line.split(",")[4]) for line in lines[20:]) < 1.0
 
 
+def test_lemma18_output_unchanged(capsys):
+    # SHA-256 of the output of the per-n ratio recurrence that the one pass
+    # replaced
+    argv = ("lemma18", "--a", "0.3", "--b", "-0.6", "--x", "1.05", "--nmax", "1500")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[1] == ("2,0.36825003702317788,0.32204406872108249,"
+                                  "0.04620596830209539,0.36964774641676312")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "189b2a9b2973ab334c5d748787388c6e7b715ec231329300532338f5da338ed1")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2fd2751773f3d90ec2f5e23b14a8d99b54cc73c5e82d8dab9e7f19a5f9002ede")
+
+
+def test_example17_at_the_removable_singularity(capsys):
+    # gamma + delta/2 = -1/2 makes the m = 0 ratio factor 0/0
+    code, out, _ = run(capsys, "example17", "--alpha", "1", "--gamma", "-0.25",
+                       "--delta", "-0.5", "--nmax", "4")
+    assert code == 0
+    assert out.split("\n")[1].startswith("1,0.61492442353296")
+
+
 def test_oracle_moments_and_recover_roundtrip(tmp_path, capsys):
     path = tmp_path / "moments.csv"
     code, _, _ = run(capsys, "oracle", "--mode", "moments", "--measure", "geronimus:a=0.5",
@@ -178,6 +202,14 @@ def test_nan_coefficients_exit_one(capsys, spec):
 def test_nan_point_measure_exit_one(capsys):
     code, out, err = run(capsys, "oracle", "--mode", "moments", "--measure",
                          "point:theta=nan", "--K", "2")
+    assert code == 1 and err and not out
+
+
+@pytest.mark.parametrize("theta1,theta2", [("-inf", "1"), ("0", "inf"), ("nan", "1"),
+                                           ("0", "1e6")])
+def test_reconstruct_bad_subarc_exits_one(capsys, theta1, theta2):
+    code, out, err = run(capsys, "oracle", "--mode", "reconstruct", "--coeffs", "const:0.5",
+                         f"--theta1={theta1}", f"--theta2={theta2}", "--n", "10")
     assert code == 1 and err and not out
 
 

@@ -1,12 +1,19 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from opuc import geronimus, oracle, special
 from opuc.core import Constant, Perturbed
-from opuc.errors import DomainError, RankDeficiencyError, SequenceSpecError
+from opuc.errors import (
+    DomainError,
+    QuadratureAccuracyError,
+    RankDeficiencyError,
+    SequenceSpecError,
+)
 
 # quadrature value of the consistent arc density of the a = 0.5 system over
 # (pi/2, 3 pi/2); adaptive quadrature oracle, error estimate 1.1e-9
@@ -180,3 +187,108 @@ def test_quadrature_handles_negative_exponents():
     p = special.ArcMeasureParams(0.8, -0.5, -0.5)
     for k, c in enumerate(rec.coefficients, start=1):
         assert abs(c - special.arc_reflection_exact(p, k)) < 1e-6
+
+
+def _adaptive_piece_moments(measure, piece, order):
+    # the per-moment adaptive route that the Gauss-Jacobi rule replaced
+    return np.array([
+        oracle._integrate_piece(lambda t, k=k: measure.density(t) * cmath.exp(-1j * k * t),
+                                piece, measure.node_budget)[0]
+        for k in range(order + 1)])
+
+
+@pytest.mark.parametrize("measure", [
+    oracle.lebesgue(),
+    oracle.geronimus_measure(0.5),
+    oracle.geronimus_measure(-0.5),
+    oracle.geronimus_measure(0.4 + 0.2j),
+    oracle.geronimus_measure(-0.3 + 0.3j),   # complex, with a mass point
+    oracle.arc_jacobi_measure(1.0, -0.4, -0.3),
+    oracle.arc_jacobi_measure(0.8, -0.5, -0.5),
+], ids=["lebesgue", "geronimus-0.5", "geronimus--0.5", "geronimus-complex",
+        "geronimus-complex-mass", "arc-jacobi-negative", "arc-jacobi-half"])
+def test_gauss_jacobi_rule_matches_adaptive_route(measure):
+    order = 12
+    for piece in measure.pieces:
+        rule = oracle._gauss_jacobi_moments(measure.density, piece, order)
+        assert rule is not None
+        values, errors = rule
+        assert np.max(np.abs(values - _adaptive_piece_moments(measure, piece, order))) < 1e-12
+        assert np.max(errors) <= oracle.MOMENT_ERROR_TARGET
+
+
+def test_moments_fall_back_to_adaptive_route():
+    # the density peaks just inside an arc end: the doubled Gauss-Jacobi rules
+    # still disagree at GAUSS_MAX_NODES, so each moment takes the adaptive route
+    measure = oracle.parse_measure("geronimus:a=0.0952,-0.3023")
+    (piece,) = measure.pieces
+    assert oracle._gauss_jacobi_moments(measure.density, piece, 8) is None
+    mom = oracle.trig_moments(measure, 8)
+    ((theta, mass),) = measure.point_masses
+    ref = _adaptive_piece_moments(measure, piece, 8) + mass * np.exp(-1j * np.arange(9) * theta)
+    assert np.max(np.abs(mom.values - ref / ref[0].real)) < 1e-15
+    rec = oracle.verblunsky_from_moments(mom, 7)
+    assert max(abs(c - complex(0.0952, -0.3023)) for c in rec.coefficients) < 1e-6
+
+
+def _quad_arc_mass(a, subarc, n):
+    # adaptive quadrature of the scalar recurrence: the route the composite
+    # Gauss-Legendre rule replaced, at its settings
+    r = math.sqrt(1.0 - abs(a) ** 2)
+
+    def integrand(t):
+        z = cmath.exp(1j * t)
+        phi = phi_star = 1.0 + 0.0j
+        for _ in range(n):
+            phi, phi_star = (z * phi + a * phi_star) / r, (z * a.conjugate() * phi + phi_star) / r
+        return 1.0 / abs(phi) ** 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(integrand, *subarc, limit=max(300, 2 * n), epsabs=1e-9, epsrel=1e-9)
+    return val / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("a,subarc,n", [
+    (0.526 * cmath.exp(-0.14j), (1.241, 4.879), 48),
+    # straddles the arc end alpha = 1.108, where a zero of phi_48 lies 2e-4
+    # inside the circle
+    (0.526 * cmath.exp(-0.14j), (1.0, 4.0), 48),
+    (0.5, (1.0, 4.0), 100),
+])
+def test_reconstruct_matches_adaptive_quadrature(a, subarc, n):
+    val = oracle.reconstruct_arc_mass(Constant(a), subarc, n)
+    ref = _quad_arc_mass(a, subarc, n)
+    assert abs(val - ref) < 1e-9
+    # the 2n equal panels alone are far off: the halving does the work
+    lo, hi = subarc
+    width = np.full(2 * n, (hi - lo) / (2 * n))
+    coarse = oracle._gauss_legendre_panels(Constant(a), lo + width * np.arange(2 * n), width, n)
+    assert abs(coarse.sum() / (2.0 * math.pi) - ref) > 1e-5
+
+
+def test_reconstruct_finds_mass_point_in_subarc():
+    # a = -0.5 has a mass point of weight 2/3 at theta = 0, in the gap
+    val = oracle.reconstruct_arc_mass(Constant(-0.5), (-0.5, 0.5), 20)
+    assert val == pytest.approx(geronimus.mu_a_spec(-0.5).j_beta, abs=1e-6)
+
+
+def test_reconstruct_raises_when_panels_run_out():
+    # a mass point whose peak drowns in rounding noise of the recurrence
+    # before the halving resolves it
+    a = complex(-0.5247789713700677, -0.16901516318794788)
+    with pytest.raises(QuadratureAccuracyError):
+        oracle.reconstruct_arc_mass(Constant(a), (0.105, 1.864), 22)
+
+
+@pytest.mark.parametrize("subarc", [
+    (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan), (0.0, 1e6),
+    (-3.2, 3.2)])
+def test_reconstruct_rejects_bad_subarc(subarc):
+    with pytest.raises(DomainError):
+        oracle.reconstruct_arc_mass(Constant(0.5), subarc, 10)
+
+
+def test_reconstruct_accepts_whole_circle():
+    assert oracle.reconstruct_arc_mass(Constant(0.0), (0.0, 2.0 * math.pi), 10) == (
+        pytest.approx(1.0, abs=1e-12))

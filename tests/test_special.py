@@ -237,3 +237,40 @@ def test_one_pass_is_bit_identical_to_per_index_formula(alpha, gamma, delta):
         assert special.jacobi_ratio(p.jacobi, n, 1.7) == _per_index_ratio(
             p.jacobi.a, p.jacobi.b, n, 1.7)
 
+
+
+def test_removable_singularity_at_e_minus_half():
+    # gamma + delta/2 = -1/2: the m = 0 factor (e + 1/2)/((e + 1/2)(e + 3/2))
+    # takes its limit 1/(e + 3/2)
+    from opuc import oracle
+    from opuc.core import JacobiArc
+
+    exact = JacobiArc(1.0, -0.25, -0.5).coeffs(8)
+    rec = oracle.verblunsky_from_moments(
+        oracle.trig_moments(oracle.arc_jacobi_measure(1.0, -0.25, -0.5), 9), 8)
+    assert max(abs(c - e) for c, e in zip(rec.coefficients, exact)) < 1e-6
+    for gamma in (-0.25 - 1e-9, -0.25 + 1e-9):
+        near = JacobiArc(1.0, gamma, -0.5).coeffs(8)
+        assert max(abs(c - e) for c, e in zip(near, exact)) < 1e-8
+    p = special.ArcMeasureParams(1.0, -0.25, -0.5)
+    assert special.arc_reflection_exact(p, 1) == exact[0]
+
+
+@pytest.mark.parametrize("a,b,x", [(0.3, 0.7, 1.8), (-0.5, 2.0, 3.9), (0.3, -0.6, 1.05)])
+def test_ratio_checks_one_pass_is_bit_identical_to_per_degree(a, b, x):
+    p = special.JacobiParams(a, b)
+
+    def per_degree(n):
+        # the ratio recurrence rerun from degree 1 for each n
+        s = a + b
+        prefactor = (n + 1.0) * (n + s + 1.0) / ((2.0 * n + s + 2.0) * (2.0 * n + s + 1.0))
+        expansion = ((x + math.sqrt(x * x - 1.0)) / 4.0) * (
+            1.0 - special.elliott_A(x, a, b) / (2.0 * n * n))
+        return prefactor * _per_index_ratio(a, b, n, x), expansion
+
+    expected = [per_degree(n) for n in range(1, 301)]
+    assert list(islice(special.elliott_ratio_checks(p, x), 300)) == expected
+    assert [special.elliott_ratio_check(p, x, n) for n in (1, 2, 300)] == [
+        expected[0], expected[1], expected[299]]
+    with pytest.raises(DomainError):
+        next(special.elliott_ratio_checks(p, 1.0))
