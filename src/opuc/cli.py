@@ -85,14 +85,20 @@ def _emit_json(payload: dict, target: str) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", target)
 
 
-def _emit_table(args, header: list[str], rows: list[list], **meta) -> int:
-    """Rows (first column as is, the rest as floats) as CSV, or as JSON with `meta`."""
-    rows = [[r[0]] + [float(v) for v in r[1:]] for r in rows]
+def _emit_csv_or_json(args, header: list[str], rows: list[list], payload: dict) -> int:
+    """The rows as CSV, or the payload as JSON, as --format asks."""
     if args.format == "csv":
         _emit(_csv_lines(header, rows), args.output)
     else:
-        _emit_json({"command": args.command, **meta, "columns": header, "rows": rows}, args.output)
+        _emit_json(payload, args.output)
     return 0
+
+
+def _emit_table(args, header: list[str], rows: list[list], **meta) -> int:
+    """Rows (first column as is, the rest as floats) as CSV, or as JSON with `meta`."""
+    rows = [[r[0]] + [float(v) for v in r[1:]] for r in rows]
+    return _emit_csv_or_json(args, header, rows,
+                             {"command": args.command, **meta, "columns": header, "rows": rows})
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -131,73 +137,56 @@ def _cmd_geronimus(args) -> int:
     measure = geronimus.mu_a_spec(a)
     rep = geronimus.envelope_check(a, args.nmax, epsilon=args.epsilon,
                                    num_points=args.grid_points)
-    if args.format == "csv":
-        rows = []
-        arc = measure.support
-        for j in range(args.grid_points):
-            theta = arc[0] + (arc[1] - arc[0]) * j / (args.grid_points - 1)
-            rows.append([theta, measure.density(theta), measure.density_printed(theta)])
-        _emit(_csv_lines(["theta", "density", "density_printed"], rows), args.output)
-    else:
-        _emit_json({
-            "command": "geronimus",
-            "a": [a.real, a.imag],
-            "alpha": measure.alpha,
-            "beta": measure.beta,
-            "j_beta": measure.j_beta,
-            "j_beta_printed": measure.j_beta_printed,
-            "j_beta_squared_denom": measure.j_beta_squared_denom,
-            "mass_converged": measure.mass_converged,
-            "envelope": {
-                "n_max": rep.n_max,
-                "c_min_n_v": rep.c_min_n_v,
-                "at_degree": rep.at_degree,
-                "at_theta": rep.at_theta,
-                "c_plain": rep.c_plain,
-                "lower_half_sup": rep.lower_half_sup,
-                "upper_half_sup": rep.upper_half_sup,
-                "growth_ok": rep.growth_ok,
-            },
-        }, args.output)
-    return 0
+    rows = []
+    arc = measure.support
+    for j in range(args.grid_points):
+        theta = arc[0] + (arc[1] - arc[0]) * j / (args.grid_points - 1)
+        rows.append([theta, measure.density(theta), measure.density_printed(theta)])
+    return _emit_csv_or_json(args, ["theta", "density", "density_printed"], rows, {
+        "command": "geronimus",
+        "a": [a.real, a.imag],
+        "alpha": measure.alpha,
+        "beta": measure.beta,
+        "j_beta": measure.j_beta,
+        "j_beta_printed": measure.j_beta_printed,
+        "j_beta_squared_denom": measure.j_beta_squared_denom,
+        "mass_converged": measure.mass_converged,
+        "envelope": {
+            "n_max": rep.n_max,
+            "c_min_n_v": rep.c_min_n_v,
+            "at_degree": rep.at_degree,
+            "at_theta": rep.at_theta,
+            "c_plain": rep.c_plain,
+            "lower_half_sup": rep.lower_half_sup,
+            "upper_half_sup": rep.upper_half_sup,
+            "growth_ok": rep.growth_ok,
+        },
+    })
 
 
 def _cmd_conditions(args) -> int:
     seq = parse_sequence(args.coeffs)
     rep = perturbation.classify_conditions(seq, _complex_arg(args.a),
                                            _complex_arg(args.tau), args.N)
-    if args.format == "json":
-        _emit_json(rep.to_json(), args.output)
-    else:
-        sums = {c.name: c.partial_sums for c in rep.checks}
-        names = [c.name for c in rep.checks]
-        rows = [[n + 1] + [float(sums[name][n]) for name in names] for n in range(rep.n_terms)]
-        _emit(_csv_lines(["n"] + names, rows), args.output)
-    return 0
+    names = [c.name for c in rep.checks]
+    rows = [[n + 1] + [float(c.partial_sums[n]) for c in rep.checks] for n in range(rep.n_terms)]
+    return _emit_csv_or_json(args, ["n"] + names, rows, rep.to_json())
 
 
 def _cmd_spectrum(args) -> int:
     seq = parse_sequence(args.coeffs)
     a = _complex_arg(args.a) if args.a is not None else seq.coeff_at(args.N)
     rep = spectral.support_report(seq, a, args.N, tol=args.tol)
-    if args.format == "json":
-        _emit_json(rep.to_json(), args.output)
-    else:
-        rows = [[z.real, z.imag, float(np.angle(z) % (2 * math.pi)), 1.0 - abs(z)]
-                for z in rep.zeros]
-        _emit(_csv_lines(["re", "im", "arg", "one_minus_abs"], rows), args.output)
-    return 0
+    rows = [[z.real, z.imag, float(np.angle(z) % (2 * math.pi)), 1.0 - abs(z)] for z in rep.zeros]
+    return _emit_csv_or_json(args, ["re", "im", "arg", "one_minus_abs"], rows, rep.to_json())
 
 
 def _cmd_krein(args) -> int:
     seq = parse_sequence(args.coeffs)
     rep = spectral.krein_check(seq, args.N)
-    if args.format == "json":
-        _emit_json(rep.to_json(), args.output)
-    else:
-        rows = [[n + 1, p.real, p.imag, abs(p)] for n, p in enumerate(rep.products)]
-        _emit(_csv_lines(["n", "re_product", "im_product", "abs_product"], rows), args.output)
-    return 0
+    rows = [[n + 1, p.real, p.imag, abs(p)] for n, p in enumerate(rep.products)]
+    return _emit_csv_or_json(args, ["n", "re_product", "im_product", "abs_product"], rows,
+                             rep.to_json())
 
 
 def _cmd_example17(args) -> int:
@@ -227,13 +216,9 @@ def _cmd_oracle(args) -> int:
         measure = oracle.parse_measure(args.measure)
         mom = oracle.trig_moments(measure, args.K)
         rows = [[k, mom.c(k).real, mom.c(k).imag] for k in range(mom.order + 1)]
-        if args.format == "csv":
-            _emit(_csv_lines(["k", "re", "im"], rows), args.output)
-        else:
-            _emit_json({"command": "oracle-moments", "measure": args.measure,
-                        "moments": [[r[0], float(r[1]), float(r[2])] for r in rows]},
-                       args.output)
-        return 0
+        return _emit_csv_or_json(args, ["k", "re", "im"], rows, {
+            "command": "oracle-moments", "measure": args.measure,
+            "moments": [[r[0], float(r[1]), float(r[2])] for r in rows]})
     if args.mode == "recover":
         if args.moments is not None:
             mom = oracle.read_moments_csv(args.moments)
@@ -242,25 +227,17 @@ def _cmd_oracle(args) -> int:
             mom = oracle.trig_moments(measure, max(args.n, args.K))
         rec = oracle.verblunsky_from_moments(mom, args.n)
         rows = [[k + 1, c.real, c.imag, rec.kappas[k]] for k, c in enumerate(rec.coefficients)]
-        if args.format == "csv":
-            _emit(_csv_lines(["n", "re", "im", "kappa"], rows), args.output)
-        else:
-            _emit_json({"command": "oracle-recover",
-                        "coefficients": [[r[0], float(r[1]), float(r[2]), float(r[3])]
-                                         for r in rows]}, args.output)
-        return 0
+        return _emit_csv_or_json(args, ["n", "re", "im", "kappa"], rows, {
+            "command": "oracle-recover",
+            "coefficients": [[r[0], float(r[1]), float(r[2]), float(r[3])] for r in rows]})
     # reconstruct
     seq = parse_sequence(args.coeffs)
     lo = _angle(args.theta1, args.degrees)
     hi = _angle(args.theta2, args.degrees)
     estimate = oracle.reconstruct_arc_mass(seq, (lo, hi), args.n)
-    if args.format == "csv":
-        _emit(_csv_lines(["theta1", "theta2", "n", "mass"],
-                         [[lo, hi, args.n, estimate]]), args.output)
-    else:
-        _emit_json({"command": "oracle-reconstruct", "theta1": lo, "theta2": hi,
-                    "n": args.n, "mass": estimate}, args.output)
-    return 0
+    return _emit_csv_or_json(args, ["theta1", "theta2", "n", "mass"], [[lo, hi, args.n, estimate]],
+                             {"command": "oracle-reconstruct", "theta1": lo, "theta2": hi,
+                              "n": args.n, "mass": estimate})
 
 
 def _cmd_selftest(args) -> int:

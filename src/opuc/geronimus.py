@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -169,31 +170,24 @@ class EnvelopeReport:
 def envelope_check(a: complex, n_max: int, grid=None, epsilon: float = 0.0,
                    num_points: int = 64) -> EnvelopeReport:
     """Sweep degrees 1..n_max over an arc grid and report envelope constants."""
+    if n_max < 1:
+        raise DomainError(f"degree sweep needs n_max >= 1, got {n_max}")
     aa = complex(a)
     arc = arc_from_a(aa)
     thetas = np.asarray(grid, dtype=float) if grid is not None else arc.grid(num_points, epsilon)
     v = np.array([v_alpha(float(t), arc.alpha) for t in thetas], dtype=float)
-    best_ratio = 0.0
-    best = (0, float(thetas[0]))
-    sup_lower = 0.0
-    sup_upper = 0.0
+    (plain, _), (ratio, where) = szego.degree_peaks(
+        Constant(aa), thetas, n_max,
+        lambda n, abs_phi: abs_phi, lambda n, abs_phi: abs_phi / np.minimum(float(n), v))
+    k = int(np.argmax(ratio))
     half = n_max // 2
-    for n, abs_phi in szego.sweep_abs_phi(Constant(aa), thetas, n_max):
-        ratios = abs_phi / np.minimum(float(n), v)
-        i = int(np.argmax(ratios))
-        if ratios[i] > best_ratio:
-            best_ratio = float(ratios[i])
-            best = (n, float(thetas[i]))
-        m = float(abs_phi.max())
-        if n <= half:
-            sup_lower = max(sup_lower, m)
-        else:
-            sup_upper = max(sup_upper, m)
+    sup_lower = float(plain[:half].max(initial=0.0))
+    sup_upper = float(plain[half:].max(initial=0.0))
     return EnvelopeReport(
         n_max=n_max,
-        c_min_n_v=best_ratio,
-        at_degree=best[0],
-        at_theta=best[1],
+        c_min_n_v=float(ratio[k]),
+        at_degree=k + 1,
+        at_theta=float(thetas[where[k]]),
         c_plain=max(sup_lower, sup_upper),
         lower_half_sup=sup_lower,
         upper_half_sup=sup_upper,
@@ -256,41 +250,14 @@ class GeronimusMeasure:
 def christoffel_mass(a: complex, z: complex, max_terms: int = 500_000) -> tuple[float, bool]:
     """Reciprocal of the summed squared orthonormal values at z.
 
-    Returns (mass, converged). At a mass point the true summand decays
-    geometrically until rounding noise injects the growing mode, so the sum
-    is cut off when the summand either stops mattering or turns back upward
-    below a relative noise floor. Away from mass points the sum keeps
-    growing and the flag comes back False with mass 0.
+    Returns (mass, converged) by szego.christoffel_cutoff over at most
+    max_terms terms. Away from mass points the sum keeps growing and the
+    flag comes back False.
     """
     b = complex(a)
     if not abs(b) < 1.0:
         raise InvalidCoefficientError(1, b)
-    zz = complex(z)
-    r = math.sqrt(1.0 - abs(b) ** 2)
-    bc = b.conjugate()
-    # the phi, phi* columns of szego.step, on local scalars
-    phi = phi_star = 1.0
-    total = 1.0  # degree-0 term
-    prev_term = 1.0
-    rising = 0
-    for _ in range(max_terms):
-        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * bc * phi + phi_star) / r
-        term = phi.real**2 + phi.imag**2
-        if not math.isfinite(term) or total > 1e12:
-            return 0.0, False
-        total += term
-        if term <= 1e-12 * total:
-            return 1.0 / total, True
-        if term > prev_term:
-            rising += 1
-            # sustained growth below the noise floor: truncation error is
-            # already far below reporting precision
-            if rising >= 4 and term < 1e-8 * total:
-                return 1.0 / total, True
-        else:
-            rising = 0
-        prev_term = term
-    return 1.0 / total, False
+    return szego.christoffel_cutoff(szego.christoffel_terms(repeat(b, max_terms), z))
 
 
 def mu_a_spec(a: complex) -> GeronimusMeasure:

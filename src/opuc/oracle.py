@@ -429,8 +429,9 @@ def _gauss_legendre_panels(seq: ReflectionSequence, left: np.ndarray, width: np.
     inv = np.empty_like(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, t.size, _SWEEP_CHUNK):
-            for _, abs_phi in szego.sweep_abs_phi(seq, t[i:i + _SWEEP_CHUNK], n):
+            for _, phi, _ in szego.sweep(seq, t[i:i + _SWEEP_CHUNK], n):
                 pass
+            abs_phi = np.abs(phi)
             mod2 = abs_phi * abs_phi
             # phi overflows in a gap, where the true integrand is below 1e-300
             inv[i:i + _SWEEP_CHUNK] = np.where(np.isfinite(mod2) & (mod2 > 0.0), 1.0 / mod2, 0.0)
@@ -457,9 +458,9 @@ def mu_prime_floor(seq: ReflectionSequence, grid, n_max: int) -> FloorReport:
         raise DomainError(f"need n_max >= 2, got {n_max}")
     lo = n_max // 2
     peak = np.zeros_like(thetas)
-    for n, abs_phi in szego.sweep_abs_phi(seq, thetas, n_max):
+    for n, phi, _ in szego.sweep(seq, thetas, n_max):
         if n >= lo:
-            np.maximum(peak, abs_phi, out=peak)
+            np.maximum(peak, np.abs(phi), out=peak)
     return FloorReport(grid=thetas, floors=1.0 / (TWO_PI * peak**2), window=(lo, n_max))
 
 

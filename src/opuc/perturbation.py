@@ -436,25 +436,16 @@ def sup_envelope(seq: ReflectionSequence, a: complex, n_max: int, weight: str = 
     arc = arc_from_a(a)
     thetas = np.asarray(grid, dtype=float) if grid is not None else arc.grid(num_points, epsilon)
     gap_w = np.sqrt(np.abs(math.cos(arc.alpha) - np.cos(thetas)))
-    per_degree = np.empty(n_max)
-    best = (0.0, 0, float(thetas[0]))
-    for n, abs_phi in szego.sweep_abs_phi(seq, thetas, n_max):
-        if weight == "1":
-            w = abs_phi
-        elif weight == "1/n":
-            w = abs_phi / n
-        else:
-            w = abs_phi * gap_w
-        i = int(np.argmax(w))
-        per_degree[n - 1] = w[i]
-        if w[i] > best[0]:
-            best = (float(w[i]), n, float(thetas[i]))
+    weigh = {"1": lambda n, abs_phi: abs_phi, "1/n": lambda n, abs_phi: abs_phi / n,
+             "sqrt_gap": lambda n, abs_phi: abs_phi * gap_w}[weight]
+    [(per_degree, where)] = szego.degree_peaks(seq, thetas, n_max, weigh)
+    k = int(np.argmax(per_degree))
     half = n_max // 2
     lower = float(per_degree[:half].max())
     upper = float(per_degree[half:].max())
     return SupEnvelopeReport(
         n_max=n_max, weight=weight, sup=max(lower, upper),
         lower_half_sup=lower, upper_half_sup=upper,
-        at_degree=best[1], at_theta=best[2], per_degree=per_degree,
+        at_degree=k + 1, at_theta=float(thetas[where[k]]), per_degree=per_degree,
         stable=upper <= 1.05 * lower,
     )

@@ -108,12 +108,18 @@ def jacobi_value(p: JacobiParams, n: int, x: float) -> float:
     return cur
 
 
-def _jacobi_step(a: float, b: float, m: int, x: float, pm: float, pm1: float) -> float:
-    # P_{m+1} from P_m, P_{m-1}; denominator is positive for m >= 1, a, b > -1
+def _jacobi_recurrence(a: float, b: float, m: int, x: float) -> tuple[float, float, float]:
+    """(c0, c1, c2) of c0 P_{m+1} = c1 P_m - c2 P_{m-1}; c0 > 0 for m >= 1, a, b > -1."""
     s = a + b
     c0 = 2.0 * (m + 1.0) * (m + s + 1.0) * (2.0 * m + s)
     c1 = (2.0 * m + s + 1.0) * ((2.0 * m + s) * (2.0 * m + s + 2.0) * x + a * a - b * b)
     c2 = 2.0 * (m + a) * (m + b) * (2.0 * m + s + 2.0)
+    return c0, c1, c2
+
+
+def _jacobi_step(a: float, b: float, m: int, x: float, pm: float, pm1: float) -> float:
+    # P_{m+1} from P_m, P_{m-1}
+    c0, c1, c2 = _jacobi_recurrence(a, b, m, x)
     return (c1 * pm - c2 * pm1) / c0
 
 
@@ -121,12 +127,9 @@ def _jacobi_ratios(p: JacobiParams, x: float) -> Iterator[float]:
     """P_{m+1}/P_m at x for m = 0, 1, 2, ... in one forward pass of the ratio recurrence."""
     a, b = p.a, p.b
     rho = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x  # P_1 / P_0
-    s = a + b
     for m in count(1):
         yield rho
-        c0 = 2.0 * (m + 1.0) * (m + s + 1.0) * (2.0 * m + s)
-        c1 = (2.0 * m + s + 1.0) * ((2.0 * m + s) * (2.0 * m + s + 2.0) * x + a * a - b * b)
-        c2 = 2.0 * (m + a) * (m + b) * (2.0 * m + s + 2.0)
+        c0, c1, c2 = _jacobi_recurrence(a, b, m, x)
         rho = (c1 - c2 / rho) / c0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -51,15 +52,20 @@ class HessenbergTruncation:
         return float(np.max(np.abs(sums - 1.0)))
 
 
+def _log_factors(seq: ReflectionSequence, n_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficients with c_0 = 1, log sqrt(1 - |c_k|^2) for k = 1..N, their prefix sums from 0)."""
+    phis = np.array([1.0, *seq.coeffs(n_dim)], dtype=complex)
+    log_r = 0.5 * np.log1p(-np.abs(phis[1:]) ** 2)
+    return phis, log_r, np.concatenate(([0.0], np.cumsum(log_r)))
+
+
 def hessenberg(seq: ReflectionSequence, n_dim: int, max_dim: int = DEFAULT_MAX_DIM) -> HessenbergTruncation:
     """Build the N x N truncation from the first N reflection coefficients."""
     if n_dim < 1:
         raise DomainError(f"dimension must be >= 1, got {n_dim}")
     if n_dim > max_dim:
         raise DomainError(f"dimension {n_dim} exceeds the cap {max_dim}; pass max_dim to override")
-    phis = np.array([1.0, *seq.coeffs(n_dim)], dtype=complex)
-    log_r = 0.5 * np.log1p(-np.abs(phis[1:]) ** 2)  # log sqrt(1 - |c_k|^2), k = 1..N
-    log_prefix = np.concatenate(([0.0], np.cumsum(log_r)))
+    phis, log_r, log_prefix = _log_factors(seq, n_dim)
     u = np.zeros((n_dim, n_dim), dtype=complex)
     for j in range(n_dim):
         rows = np.arange(j + 1)
@@ -76,10 +82,8 @@ def diagonal_norms(seq: ReflectionSequence, n_dim: int, j_max: int) -> list[floa
     """
     if not 0 <= j_max < n_dim:
         raise DomainError(f"need 0 <= j_max < dimension, got j_max={j_max}, dim={n_dim}")
-    phis = np.array([1.0, *seq.coeffs(n_dim)], dtype=complex)
+    phis, log_r, log_prefix = _log_factors(seq, n_dim)
     mods = np.abs(phis)
-    log_r = 0.5 * np.log1p(-mods[1:] ** 2)
-    log_prefix = np.concatenate(([0.0], np.cumsum(log_r)))
     norms = [float(np.max(np.exp(log_r[: n_dim - 1]))) if n_dim > 1 else float(np.exp(log_r[0]))]
     for j in range(j_max + 1):
         rows = np.arange(n_dim - j)
@@ -286,28 +290,15 @@ class ChristoffelReport:
 def christoffel_sum(seq: ReflectionSequence, z, n_terms: int) -> ChristoffelReport:
     """Partial sums of |phi_k(z)|^2 for k = 0..N and the reciprocal-limit mass.
 
-    The sum converges exactly at mass points; a divergent sum (relative
-    change above 1e-4 over the last doubling) reports mass 0.
+    The sum converges exactly at mass points. Convergence and the mass come
+    from szego.christoffel_cutoff over the N terms; a sum it does not stop
+    reports mass 0.
     """
     zz = unit_point(z)
     if n_terms < 2:
         raise DomainError(f"need at least 2 terms, got {n_terms}")
-    sums = np.empty(n_terms + 1)
-    # the phi, phi* columns of szego.step, on local scalars
-    phi = phi_star = 1.0
-    total = 1.0
-    sums[0] = total
-    for k in range(1, n_terms + 1):
-        b = seq.coeff_at(k)
-        r = math.sqrt(1.0 - abs(b) ** 2)
-        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * b.conjugate() * phi + phi_star) / r
-        total += phi.real**2 + phi.imag**2
-        sums[k] = total
-    rel_change = (sums[-1] - sums[n_terms // 2]) / sums[-1]
-    converged = bool(np.isfinite(sums[-1]) and rel_change < 1e-4)
-    return ChristoffelReport(
-        z=zz,
-        partial_sums=sums,
-        mass_estimate=1.0 / sums[-1] if converged else 0.0,
-        converged=converged,
-    )
+    terms = list(szego.christoffel_terms(seq.coeffs(n_terms), zz))
+    sums = np.fromiter(accumulate(terms, initial=1.0), dtype=float, count=n_terms + 1)
+    mass, converged = szego.christoffel_cutoff(terms)
+    return ChristoffelReport(z=zz, partial_sums=sums, mass_estimate=mass if converged else 0.0,
+                             converged=converged)

@@ -13,16 +13,19 @@ with the psi columns advanced by the same rule under b -> -b. Negating every
 coefficient of a sequence therefore swaps the phi and psi columns exactly
 (identical floating-point expression trees).
 
-Two independent code paths cross-check the engine: a scalar route that keeps
-the kappa products explicit, and a summation route that rebuilds
-kappa_n phi*_n from all lower-degree values.
+Two folds carry the recurrence: evaluate() and christoffel_terms() on Python
+scalars, and sweep() in place over an angle grid for every grid consumer
+(sweep_abs_phi, degree_peaks, the oracle's quadrature). Two independent code
+paths cross-check them: a scalar route that keeps the kappa products
+explicit, and a summation route that rebuilds kappa_n phi*_n from all
+lower-degree values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -76,16 +79,14 @@ def evaluate(seq: ReflectionSequence, n: int, z: complex) -> SzegoState:
     """Fold the matrix recurrence n times from the degree-0 state.
 
     The fold runs on local scalars with the expression text of step(), so
-    the result equals n chained step() calls bit for bit.
+    the result equals n chained step() calls bit for bit; numpy rounds
+    complex products differently, so the array sweep() cannot stand in.
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     zz = complex(z)
     phi = phi_star = psi = psi_star = kappa = 1.0
-    for k in range(1, n + 1):
-        b = complex(seq.coeff_at(k))
-        if not abs(b) < 1.0:
-            raise InvalidCoefficientError(k, b)
+    for b in seq.coeffs(n):
         r = math.sqrt(1.0 - abs(b) ** 2)
         bc = b.conjugate()
         phi, phi_star = (zz * phi + b * phi_star) / r, (zz * bc * phi + phi_star) / r
@@ -189,16 +190,58 @@ def monic_coefficients(seq: ReflectionSequence, n: int) -> np.ndarray:
     return coeffs
 
 
+def christoffel_terms(coeffs: Iterable[complex], z: complex) -> Iterator[float]:
+    """Yield |phi_k(z)|^2 for k = 1, 2, ..., one per validated coefficient, from the
+    phi, phi* columns of step() on local scalars (equal to chained step() calls)."""
+    zz = complex(z)
+    phi = phi_star = 1.0
+    for b in coeffs:
+        r = math.sqrt(1.0 - abs(b) ** 2)
+        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * b.conjugate() * phi + phi_star) / r
+        yield phi.real**2 + phi.imag**2
+
+
+def christoffel_cutoff(terms: Iterable[float]) -> tuple[float, bool]:
+    """(mass, converged): the reciprocal of 1 + the sum of the terms, cut off.
+
+    At a mass point the true summand decays geometrically until rounding
+    noise injects the growing mode, so the sum stops when the summand either
+    stops mattering or turns back upward below a relative noise floor. A
+    sum that overflows or passes 1e12 gives (0, False); one that runs out
+    of terms first gives its reciprocal with converged False.
+    """
+    total, prev_term, rising = 1.0, 1.0, 0  # the sum starts at the degree-0 term
+    for term in terms:
+        if not math.isfinite(term) or total > 1e12:
+            return 0.0, False
+        total += term
+        if term <= 1e-12 * total:
+            return 1.0 / total, True
+        if term > prev_term:
+            rising += 1
+            # sustained growth below the noise floor: truncation error is
+            # already far below reporting precision
+            if rising >= 4 and term < 1e-8 * total:
+                return 1.0 / total, True
+        else:
+            rising = 0
+        prev_term = term
+    return 1.0 / total, False
+
+
 # While every |phi|, |phi*| on the grid stays below this, no intermediate of a
 # step can overflow (the largest is a few times the bound)
 _SWEEP_SAFE_BOUND = 1e300
 
 
-def sweep_abs_phi(seq: ReflectionSequence, thetas: np.ndarray, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, |phi_n| over the angle grid) for n = 1..n_max, vectorized.
+def sweep(seq: ReflectionSequence, thetas: np.ndarray,
+          n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (n, phi_n, phi*_n) over the angle grid for n = 1..n_max, vectorized.
 
     Grid sweeps are the intended parallelism: one recurrence pass advances
-    the whole grid at once, in place in two preallocated buffers.
+    the whole grid at once, in place in two preallocated buffers. The
+    yielded arrays are views of those buffers, which later steps overwrite;
+    copy what must outlive the iteration.
 
     The values equal the literal recurrence (z phi + b phi*) / r,
     (z conj(b) phi + phi*) / r evaluated on arrays, bit for bit. numpy
@@ -215,15 +258,14 @@ def sweep_abs_phi(seq: ReflectionSequence, thetas: np.ndarray, n_max: int) -> It
     # bound on |phi| and |phi*| over the grid; |z| = 1 makes the growth per
     # step at most (1 + |b|) / r. NaN keeps every step on the literal divide.
     bound = 1.0 if np.isfinite(z).all() else math.nan
-    for k in range(1, n_max + 1):
-        b = seq.coeff_at(k)
+    for k, b in enumerate(seq.coeffs(n_max), 1):
         r = math.sqrt(1.0 - abs(b) ** 2)
         growth = (1.0 + abs(b)) / r
         bound *= growth
         if bound > _SWEEP_SAFE_BOUND:
             bound = float(np.abs(cur).max(initial=0.0)) * growth
-        phi, phi_star = cur[0, ...], cur[1, ...]
-        new_phi, new_phi_star = nxt[0, ...], nxt[1, ...]
+        phi, phi_star = cur[0], cur[1]
+        new_phi, new_phi_star = nxt[0], nxt[1]
         if bound <= _SWEEP_SAFE_BOUND:
             np.multiply(z, phi, out=new_phi)
             np.multiply(b, phi_star, out=tmp)
@@ -237,4 +279,29 @@ def sweep_abs_phi(seq: ReflectionSequence, thetas: np.ndarray, n_max: int) -> It
             np.divide(z * phi + b * phi_star, r, out=new_phi)
             np.divide(z * b.conjugate() * phi + phi_star, r, out=new_phi_star)
         cur, nxt = nxt, cur
-        yield k, np.abs(cur[0, ...])
+        yield k, cur[0], cur[1]
+
+
+def sweep_abs_phi(seq: ReflectionSequence, thetas: np.ndarray, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, |phi_n| over the angle grid) for n = 1..n_max; see sweep()."""
+    for n, phi, _ in sweep(seq, thetas, n_max):
+        yield n, np.abs(phi)
+
+
+def degree_peaks(seq: ReflectionSequence, thetas: np.ndarray, n_max: int,
+                 *weights) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per weight, (peaks, where) over degrees n = 1..n_max from one sweep.
+
+    A weight maps (n, |phi_n| on the grid) to weighted values; peaks[n - 1]
+    is their maximum over the grid and where[n - 1] the grid index of its
+    first occurrence.
+    """
+    peaks = [np.empty(n_max) for _ in weights]
+    where = [np.empty(n_max, dtype=int) for _ in weights]
+    for n, phi, _ in sweep(seq, thetas, n_max):
+        abs_phi = np.abs(phi)
+        for weight, peak, at in zip(weights, peaks, where):
+            w = weight(n, abs_phi)
+            at[n - 1] = i = w.argmax()
+            peak[n - 1] = w[i]
+    return list(zip(peaks, where))

@@ -219,3 +219,9 @@ def test_selftest_passes(capsys):
     lines = out.strip().split("\n")
     assert all(line.startswith("ok") for line in lines)
     assert len(lines) >= 15
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_geronimus_nonpositive_nmax_exits_one(capsys, nmax):
+    code, out, err = run(capsys, "geronimus", "--a", "0.5", "--nmax", nmax, "--format", "json")
+    assert code == 1 and err and not out

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from opuc import geronimus, szego
-from opuc.core import Constant
+from opuc.core import Constant, arc_from_a
 from opuc.errors import DomainError, InvalidCoefficientError
 from conftest import state_scale
 
@@ -123,6 +123,48 @@ def test_envelope_check_full_arc_ratio_bounded():
         for t in np.linspace(math.pi / 3, 5 * math.pi / 3, 81)
     )
     assert st_max <= rep.c_min_n_v + 1e-12
+
+
+def _envelope_check_by_loop(a, n_max, thetas):
+    """envelope_check's per-degree loop as first written, the reference for degree_peaks."""
+    arc = arc_from_a(a)
+    v = np.array([geronimus.v_alpha(float(t), arc.alpha) for t in thetas], dtype=float)
+    best_ratio, best = 0.0, (0, float(thetas[0]))
+    sup_lower = sup_upper = 0.0
+    half = n_max // 2
+    for n, abs_phi in szego.sweep_abs_phi(Constant(a), thetas, n_max):
+        ratios = abs_phi / np.minimum(float(n), v)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best_ratio:
+            best_ratio = float(ratios[i])
+            best = (n, float(thetas[i]))
+        m = float(abs_phi.max())
+        if n <= half:
+            sup_lower = max(sup_lower, m)
+        else:
+            sup_upper = max(sup_upper, m)
+    return (best_ratio, best[0], best[1], max(sup_lower, sup_upper), sup_lower, sup_upper,
+            sup_upper <= 1.05 * sup_lower)
+
+
+@pytest.mark.parametrize("a,n_max,epsilon,num_points", [
+    (0.5, 500, 0.0, 81),
+    (0.5, 1, 0.0, 16),
+    (-0.3 + 0.4j, 301, 0.1, 33),
+    (0.7j, 800, 1e-3, 200),
+])
+def test_envelope_check_equals_per_degree_loop(a, n_max, epsilon, num_points):
+    rep = geronimus.envelope_check(a, n_max, epsilon=epsilon, num_points=num_points)
+    thetas = arc_from_a(a).grid(num_points, epsilon)
+    assert rep.n_max == n_max
+    assert (rep.c_min_n_v, rep.at_degree, rep.at_theta, rep.c_plain, rep.lower_half_sup,
+            rep.upper_half_sup, rep.growth_ok) == _envelope_check_by_loop(a, n_max, thetas)
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_envelope_check_rejects_nonpositive_n_max(n_max):
+    with pytest.raises(DomainError):
+        geronimus.envelope_check(0.5, n_max)
 
 
 def test_state_matrix_envelope_both_directions():

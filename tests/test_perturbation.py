@@ -257,6 +257,43 @@ def test_sup_envelope_three_perturbed_regimes():
     assert r3.stable
 
 
+def _sup_envelope_by_loop(seq, a, n_max, weight, thetas):
+    """sup_envelope's per-degree loop as first written, the reference for degree_peaks."""
+    gap_w = np.sqrt(np.abs(math.cos(arc_from_a(a).alpha) - np.cos(thetas)))
+    per_degree = np.empty(n_max)
+    best = (0.0, 0, float(thetas[0]))
+    for n, abs_phi in szego.sweep_abs_phi(seq, thetas, n_max):
+        if weight == "1":
+            w = abs_phi
+        elif weight == "1/n":
+            w = abs_phi / n
+        else:
+            w = abs_phi * gap_w
+        i = int(np.argmax(w))
+        per_degree[n - 1] = w[i]
+        if w[i] > best[0]:
+            best = (float(w[i]), n, float(thetas[i]))
+    half = n_max // 2
+    lower = float(per_degree[:half].max())
+    upper = float(per_degree[half:].max())
+    return per_degree, (max(lower, upper), lower, upper, best[1], best[2], upper <= 1.05 * lower)
+
+
+@pytest.mark.parametrize("weight", ["1", "1/n", "sqrt_gap"])
+@pytest.mark.parametrize("seq,a,n_max,epsilon", [
+    (Perturbed(a=0.5, amplitude=1.0, p=2.0), 0.5, 600, 0.0),
+    (Perturbed(a=0.4 + 0.3j, amplitude=0.5, p=1.2, sign="alt"), 0.4 + 0.3j, 401, 0.05),
+    (Constant(0.5), 0.5, 2, 0.2),
+], ids=["plain", "alt", "two"])
+def test_sup_envelope_equals_per_degree_loop(seq, a, n_max, epsilon, weight):
+    rep = perturbation.sup_envelope(seq, a, n_max, weight=weight, epsilon=epsilon)
+    per_degree, fields = _sup_envelope_by_loop(seq, a, n_max, weight,
+                                               arc_from_a(a).grid(65, epsilon))
+    assert np.array_equal(rep.per_degree, per_degree)
+    assert (rep.sup, rep.lower_half_sup, rep.upper_half_sup, rep.at_degree, rep.at_theta,
+            rep.stable) == fields
+
+
 def test_sup_envelope_rejects_unknown_weight():
     with pytest.raises(DomainError):
         perturbation.sup_envelope(Constant(0.5), 0.5, 10, weight="bogus")

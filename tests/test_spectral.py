@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from opuc import spectral, szego
+from opuc import geronimus, spectral, szego
 from opuc.core import Constant, Explicit, Zhedanov
 from opuc.errors import DomainError
 from conftest import random_explicit
@@ -220,6 +220,17 @@ def test_christoffel_partial_sums_match_step_fold(seq, z):
         state = szego.step(state, seq.coeff_at(k))
         total += state.phi.real**2 + state.phi.imag**2
         assert rep.partial_sums[k] == total
+
+
+@pytest.mark.parametrize("n_terms", [120, 400])
+@pytest.mark.parametrize("a", [-0.3 + 0.4j, 0.45 * cmath.exp(1j * (math.pi - 0.45))])
+def test_christoffel_converges_at_complex_mass_point(a, n_terms):
+    # rounding feeds the growing mode here, so the full N-term sum diverges;
+    # the stopping rule reads the mass off before that
+    measure = geronimus.mu_a_spec(a)
+    rep = spectral.christoffel_sum(Constant(a), cmath.exp(1j * measure.beta), n_terms)
+    assert rep.converged
+    assert abs(rep.mass_estimate - measure.j_beta) <= 1e-9
 
 
 def test_christoffel_interior_point_diverges():

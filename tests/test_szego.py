@@ -222,6 +222,27 @@ def test_sweep_is_bit_identical_past_overflow():
         _assert_same_sweep(Constant(0.5), np.array([]), 3000)
 
 
+@pytest.mark.parametrize("seq,thetas,n_max", [
+    (Perturbed(a=0.45 + 0.2j, amplitude=0.3, p=1.0, sign="plain"),
+     arc_from_a(0.45 + 0.2j).grid(1024), 1200),
+    (Constant(0.9), np.concatenate((np.linspace(0.0, 2.0 * math.pi, 65), [math.nan])), 700),
+], ids=["arc", "overflow"])
+def test_sweep_phi_and_phi_star_are_bit_identical_to_literal_recurrence(seq, thetas, n_max):
+    z = np.exp(1j * thetas)
+    phi = np.ones_like(z)
+    phi_star = np.ones_like(z)
+    count = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, got_phi, got_phi_star in szego.sweep(seq, thetas, n_max):
+            b = seq.coeff_at(k)
+            r = math.sqrt(1.0 - abs(b) ** 2)
+            phi, phi_star = (z * phi + b * phi_star) / r, (z * b.conjugate() * phi + phi_star) / r
+            assert np.array_equal(got_phi, phi, equal_nan=True), k
+            assert np.array_equal(got_phi_star, phi_star, equal_nan=True), k
+            count += 1
+    assert count == n_max
+
+
 def _fold_steps(seq, n, z):
     state = szego.initial_state(z)
     for k in range(1, n + 1):
