@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geronimus, oracle, perturbation, selftest, special, spectral, szego
-from .core import parse_sequence
+from .core import _parse_complex, parse_sequence
 from .errors import (
     EigenSolverError,
     QuadratureAccuracyError,
@@ -105,11 +106,6 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _complex_arg(text: str) -> complex:
-    parts = text.split(",")
-    return complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -133,7 +129,7 @@ def _cmd_eval(args) -> int:
 def _cmd_geronimus(args) -> int:
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
-    a = _complex_arg(args.a)
+    a = _parse_complex(args.a)
     measure = geronimus.mu_a_spec(a)
     rep = geronimus.envelope_check(a, args.nmax, epsilon=args.epsilon,
                                    num_points=args.grid_points)
@@ -151,23 +147,14 @@ def _cmd_geronimus(args) -> int:
         "j_beta_printed": measure.j_beta_printed,
         "j_beta_squared_denom": measure.j_beta_squared_denom,
         "mass_converged": measure.mass_converged,
-        "envelope": {
-            "n_max": rep.n_max,
-            "c_min_n_v": rep.c_min_n_v,
-            "at_degree": rep.at_degree,
-            "at_theta": rep.at_theta,
-            "c_plain": rep.c_plain,
-            "lower_half_sup": rep.lower_half_sup,
-            "upper_half_sup": rep.upper_half_sup,
-            "growth_ok": rep.growth_ok,
-        },
+        "envelope": dataclasses.asdict(rep),
     })
 
 
 def _cmd_conditions(args) -> int:
     seq = parse_sequence(args.coeffs)
-    rep = perturbation.classify_conditions(seq, _complex_arg(args.a),
-                                           _complex_arg(args.tau), args.N)
+    rep = perturbation.classify_conditions(seq, _parse_complex(args.a),
+                                           _parse_complex(args.tau), args.N)
     names = [c.name for c in rep.checks]
     rows = [[n + 1] + [float(c.partial_sums[n]) for c in rep.checks] for n in range(rep.n_terms)]
     return _emit_csv_or_json(args, ["n"] + names, rows, rep.to_json())
@@ -175,7 +162,7 @@ def _cmd_conditions(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     seq = parse_sequence(args.coeffs)
-    a = _complex_arg(args.a) if args.a is not None else seq.coeff_at(args.N)
+    a = _parse_complex(args.a) if args.a is not None else seq.coeff_at(args.N)
     rep = spectral.support_report(seq, a, args.N, tol=args.tol)
     rows = [[z.real, z.imag, float(np.angle(z) % (2 * math.pi)), 1.0 - abs(z)] for z in rep.zeros]
     return _emit_csv_or_json(args, ["re", "im", "arg", "one_minus_abs"], rows, rep.to_json())

@@ -366,14 +366,24 @@ def parse_sequence(spec: str) -> ReflectionSequence:
 
 def explicit_from_csv(path: str | Path) -> Explicit:
     """Load an Explicit sequence from CSV with header n,re,im."""
+    return Explicit(_read_indexed_csv(path, "n", 1))
+
+
+def _read_indexed_csv(path: str | Path, key: str, first: int) -> list[complex]:
+    """Values of a CSV with header key,re,im and indices first, first + 1, ...
+
+    Any missing or unreadable file, bad header, row that is not three
+    numbers, repeated index, empty file or gap raises SequenceSpecError,
+    with path:line where a row is at fault.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise SequenceSpecError(f"cannot read coefficient file {path}: {exc}") from exc
-    if not rows or [c.strip().lower() for c in rows[0]] != ["n", "re", "im"]:
-        raise SequenceSpecError(f"coefficient file {path} must start with header n,re,im")
+        raise SequenceSpecError(f"cannot read {path}: {exc}") from exc
+    if not rows or [c.strip().lower() for c in rows[0]] != [key, "re", "im"]:
+        raise SequenceSpecError(f"{path} must start with header {key},re,im")
     indexed: dict[int, complex] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -389,7 +399,7 @@ def explicit_from_csv(path: str | Path) -> Explicit:
             raise SequenceSpecError(f"{path}:{lineno}: duplicate index {n}")
         indexed[n] = value
     if not indexed:
-        raise SequenceSpecError(f"coefficient file {path} has no data rows")
-    if sorted(indexed) != list(range(1, len(indexed) + 1)):
-        raise SequenceSpecError(f"coefficient file {path} must cover indices 1..m contiguously")
-    return Explicit([indexed[k] for k in sorted(indexed)])
+        raise SequenceSpecError(f"{path} has no data rows")
+    if sorted(indexed) != list(range(first, first + len(indexed))):
+        raise SequenceSpecError(f"{path} must cover indices {first}..m contiguously")
+    return [indexed[k] for k in sorted(indexed)]

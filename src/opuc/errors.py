@@ -51,13 +51,17 @@ class QuadratureAccuracyError(RuntimeError):
 
 
 class RankDeficiencyError(RuntimeError):
-    """Moment matrix lost positive definiteness during orthogonalization."""
+    """Moment matrix lost positive definiteness during coefficient recovery.
+
+    pivot is E_m = ||Phi_m||^2 = prod_{k <= m} (1 - |b_k|^2), the Levinson
+    pivot at the failing order m.
+    """
 
     def __init__(self, order: int, pivot: float):
         self.order = order
         self.pivot = pivot
         super().__init__(
-            f"orthogonalization pivot {pivot:.3g} below threshold at order {order}; "
+            f"Levinson pivot E_{order} = {pivot:.3g} below threshold at order {order}; "
             "moment matrix is numerically rank deficient"
         )
 

@@ -155,6 +155,19 @@ def test_oracle_moments_and_recover_roundtrip(tmp_path, capsys):
         assert float(row.split(",")[1]) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_oracle_recover_rejects_unnormalized_moments(tmp_path, capsys):
+    # recovery assumes c_0 = 1, so a file with c_0 = 2 is refused, not misread
+    path = tmp_path / "moments.csv"
+    run(capsys, "oracle", "--mode", "moments", "--measure", "geronimus:a=0.5",
+        "--K", "2", "--output", str(path))
+    lines = path.read_text().split("\n")
+    assert lines[1] == "0,1,0"
+    path.write_text("\n".join([lines[0], "0,2,0"] + lines[2:]))
+    code, out, err = run(capsys, "oracle", "--mode", "recover", "--moments", str(path),
+                         "--n", "2")
+    assert code == 1 and err and not out
+
+
 def test_oracle_reconstruct_json(capsys):
     code, out, _ = run(capsys, "oracle", "--mode", "reconstruct", "--coeffs", "const:0.0",
                        "--theta1", "1.0", "--theta2", "2.5", "--n", "5",
@@ -224,4 +237,15 @@ def test_selftest_passes(capsys):
 @pytest.mark.parametrize("nmax", ["0", "-3"])
 def test_geronimus_nonpositive_nmax_exits_one(capsys, nmax):
     code, out, err = run(capsys, "geronimus", "--a", "0.5", "--nmax", nmax, "--format", "json")
+    assert code == 1 and err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("geronimus", "--a", "0.5,0.1,9"),
+    ("oracle", "--mode", "moments", "--measure", "geronimus:a=0.5,0.1,9", "--K", "2"),
+    ("conditions", "--coeffs", "const:0.5", "--a", "0.5", "--tau", "1,0,9", "--N", "10"),
+    ("spectrum", "--coeffs", "const:0.5", "--N", "30", "--a", "0.5,0,9"),
+])
+def test_three_part_complex_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 1 and err and not out

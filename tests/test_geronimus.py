@@ -275,6 +275,9 @@ def _christoffel_mass_by_steps(a, z, max_terms):
     (-0.3 + 0.4j, cmath.exp(1j * geronimus.mu_a_spec(-0.3 + 0.4j).beta)),
     (0.5, cmath.exp(2.0j)),
     (-0.8, cmath.exp(0.05j)),
+    # |1 - 2a| just above 1: the rule stops on the rising branch, at k = 430
+    (0.9938252735223378 - 0.0795315777699139j,
+     cmath.exp(1j * geronimus.mu_a_spec(0.9938252735223378 - 0.0795315777699139j).beta)),
 ])
 def test_christoffel_mass_matches_step_fold(a, z):
     assert geronimus.christoffel_mass(a, z, 5000) == _christoffel_mass_by_steps(a, z, 5000)

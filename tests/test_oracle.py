@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -43,6 +44,45 @@ def test_geronimus_measure_with_mass_point_recovers():
     mom = oracle.trig_moments(oracle.geronimus_measure(-0.5), 11)
     rec = oracle.verblunsky_from_moments(mom, 10)
     assert max(abs(c + 0.5) for c in rec.coefficients) < 1e-6
+
+
+def _exact_moments(coefficients, order):
+    """Moments c_0..c_order of the measure with these coefficients, 40 digits.
+
+    Runs the Levinson-Szego recursion backwards: with Phi_{m-1} monic, the
+    step b_m = -(sum_i Phi_{m-1}[i] conj(c_{i+1})) / E_{m-1} fixes c_m.
+    """
+    with mpmath.workdps(40):
+        b = [mpmath.mpc(complex(v)) for v in coefficients]
+        c = [mpmath.mpc(1)]
+        phi = [mpmath.mpc(1)]
+        e = mpmath.mpf(1)
+        for m in range(1, order + 1):
+            head = sum(phi[i] * mpmath.conj(c[i + 1]) for i in range(m - 1))
+            c.append(mpmath.conj(-b[m - 1] * e - head))
+            star = [mpmath.conj(v) for v in reversed(phi)] + [0]
+            phi = [p + b[m - 1] * q for p, q in zip([0] + phi, star)]
+            e *= 1 - abs(b[m - 1]) ** 2
+        return [complex(v) for v in c]
+
+
+_ORDER15_CASES = [0.7, 0.7 * cmath.exp(0.2j), -0.7, 0.5]
+
+
+@pytest.mark.parametrize("a", _ORDER15_CASES)
+def test_exact_moments_match_quadrature(a):
+    mom = oracle.trig_moments(oracle.geronimus_measure(a), 16)
+    exact = _exact_moments([a] * 16, 16)
+    assert np.max(np.abs(mom.values - np.array(exact))) < 1e-13
+
+
+@pytest.mark.parametrize("a", _ORDER15_CASES[:3])
+def test_order15_recovery_from_exact_moments(a):
+    # |a| ~ 0.7: prod (1 - |a|^2) over 15 steps is 4e-5, so a 1e-16 moment
+    # error grows to about 1e-7 in the last coefficient
+    exact = oracle.TrigMoments(order=16, values=np.array(_exact_moments([a] * 16, 16)))
+    rec = oracle.verblunsky_from_moments(exact, 15)
+    assert max(abs(c - a) for c in rec.coefficients) < 1e-6
 
 
 def test_recovered_kappas_match_product_formula():
@@ -98,6 +138,22 @@ def test_moment_csv_roundtrip(tmp_path):
 def test_read_moments_rejects_bad_header(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("a,b,c\n0,1,0\n")
+    with pytest.raises(SequenceSpecError):
+        oracle.read_moments_csv(p)
+
+
+@pytest.mark.parametrize("body", [
+    "0,1,0\n1,0.5,0\n1,0.25,0\n",   # repeated index
+    "0,1,0\n1,0.5\n",                # two columns
+    "0,2,0\n1,0.5,0\n",              # c_0 = 2
+    "0,1,1e-300\n1,0.5,0\n",         # c_0 not real
+    "",                                # no data rows
+    "0,1,0\n2,0.5,0\n",              # gap
+    "0,1,0\n1,nan,0\n",              # NaN moment
+], ids=["duplicate", "two-columns", "c0-not-one", "c0-not-real", "empty", "gap", "nan"])
+def test_read_moments_rejects_malformed(tmp_path, body):
+    p = tmp_path / "m.csv"
+    p.write_text("k,re,im\n" + body)
     with pytest.raises(SequenceSpecError):
         oracle.read_moments_csv(p)
 
