@@ -7,9 +7,9 @@ endpoint exponents (Golub & Welsch, Math. Comp. 23, 1969): the density is
 evaluated once per node and all moments are one matrix-vector product. The
 rule doubles from 32 nodes until two successive rules agree, and their
 difference is the reported error; a piece that does not settle by 1,024
-nodes (a mass point just outside an arc end) falls back to adaptive
-Gauss-Kronrod quadrature with power substitutions that regularize the
-endpoint singularities. Point masses contribute exactly. Reflection
+nodes (a density peak by an arc end, where |1 - 2a| is near 1 for the
+Geronimus measure) is cut into panels, each halved until its 16- and
+32-node rules agree. Point masses contribute exactly. Reflection
 coefficients are then recovered by the Szego recursion run on the moments,
 which is the Levinson-Durbin algorithm (Levinson 1947, Durbin 1960): the
 inversion of the existence theorem, coefficients in, measure out, moments
@@ -40,8 +40,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_jacobi
 
 from . import geronimus as geronimus_mod
 from . import special, szego
@@ -58,6 +56,7 @@ TWO_PI = 2.0 * math.pi
 MOMENT_ERROR_TARGET = 1e-10
 GAUSS_START_NODES = 32
 GAUSS_MAX_NODES = 1024
+PANEL_CAP = 1024
 
 RECONSTRUCT_ERROR_TARGET = 1e-9
 
@@ -85,12 +84,11 @@ class SupportPiece:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Density plus point masses plus quadrature configuration."""
+    """Density plus point masses."""
 
     density: Callable[[float], float] | None
     pieces: tuple[SupportPiece, ...]
     point_masses: tuple[tuple[float, float], ...] = ()
-    node_budget: int = 400
     name: str = "custom"
 
 
@@ -124,7 +122,7 @@ def geronimus_measure(a: complex) -> MeasureSpec:
 @lru_cache(maxsize=64)
 def _arc_jacobi_normalization(alpha: float, gamma: float, delta: float) -> float:
     params = special.ArcMeasureParams(alpha, gamma, delta)
-    return sum(_piece_moments(params.weight, piece, 0, 400)[0][0].real
+    return sum(_piece_moments(params.weight, piece, 0)[0][0].real
                for piece in _arc_jacobi_pieces(alpha, gamma, delta))
 
 
@@ -154,66 +152,45 @@ def arc_jacobi_measure(alpha: float, gamma: float, delta: float) -> MeasureSpec:
     )
 
 
-def _integrate_piece(f: Callable[[float], float], piece: SupportPiece,
-                     node_budget: int) -> tuple[complex, float]:
-    """Integrate f over a piece, regularizing both endpoints by substitution.
-
-    Splits at the midpoint; on each half with endpoint exponent g the change
-    of variable theta = endpoint +- u^(1/(1+g)) makes the integrand bounded.
-    """
-    mid = 0.5 * (piece.lo + piece.hi)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for (anchor, far, g, sign) in ((piece.lo, mid, piece.exponent_lo, 1.0),
-                                   (piece.hi, mid, piece.exponent_hi, -1.0)):
-        p = 1.0 + g
-        width = abs(far - anchor)
-        if g == 0.0:
-            def reg(u, _anchor=anchor, _sign=sign):
-                return f(_anchor + _sign * u)
-            upper = width
-        else:
-            def reg(u, _anchor=anchor, _sign=sign, _p=p):
-                if u <= 0.0:
-                    return 0.0
-                return f(_anchor + _sign * u ** (1.0 / _p)) * (u ** (1.0 / _p - 1.0)) / _p
-            upper = width**p
-        val, e = quad(reg, 0.0, upper, limit=node_budget,
-                      epsabs=1e-12, epsrel=1e-12, complex_func=True)
-        total += val
-        ec = complex(e)  # complex_func=True reports per-part errors as a complex
-        err += abs(ec.real) + abs(ec.imag)
-    return total, err
-
-
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, exponent_lo: float, exponent_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    # imported here: scipy.special costs 0.3 s that most CLI calls never need
+    from scipy.special import roots_jacobi
+
     # roots_jacobi's weight (1 - x)^a (1 + x)^b puts a at the upper end
     return roots_jacobi(n, exponent_hi, exponent_lo)
 
 
-def _gauss_jacobi_moments(f: Callable[[float], float], piece: SupportPiece,
-                          order: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Integrals of f(t) e^(-i k t) over a piece, k = 0..order, by Gauss-Jacobi rules.
+def _rule_moments(f: Callable[[float], float], piece: SupportPiece, n: int,
+                  order: int) -> np.ndarray:
+    """Integrals of f(t) e^(-i k t) over a piece, k = 0..order, by the n-node Gauss-Jacobi rule.
 
     The rule's weight (t - lo)^exponent_lo (hi - t)^exponent_hi takes the
-    endpoint behavior of f, so f divided by it is smooth. Doubles the rule
-    from GAUSS_START_NODES until two successive rules agree within
-    MOMENT_ERROR_TARGET on every moment and returns (values, differences);
-    None if GAUSS_MAX_NODES passes without agreement.
+    endpoint behavior of f, so f divided by it is smooth.
     """
     half = 0.5 * (piece.hi - piece.lo)
     ks = np.arange(order + 1)
+    x, w = _jacobi_rule(n, piece.exponent_lo, piece.exponent_hi)
+    t = piece.lo + half * (1.0 + x)
+    fw = np.array([f(ti) for ti in t]) * (
+        half * w / ((1.0 + x) ** piece.exponent_lo * (1.0 - x) ** piece.exponent_hi))
+    # 128 moments at a time bounds the phase matrix at any order
+    return np.concatenate([np.exp(-1j * np.outer(ks[i:i + 128], t)) @ fw
+                           for i in range(0, order + 1, 128)])
+
+
+def _gauss_jacobi_moments(f: Callable[[float], float], piece: SupportPiece,
+                          order: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Moments of f over a piece, k = 0..order, by doubled Gauss-Jacobi rules.
+
+    Doubles the rule from GAUSS_START_NODES until two successive rules agree
+    within MOMENT_ERROR_TARGET on every moment and returns (values,
+    differences); None if GAUSS_MAX_NODES passes without agreement.
+    """
     prev = None
     n = GAUSS_START_NODES
     while n <= GAUSS_MAX_NODES:
-        x, w = _jacobi_rule(n, piece.exponent_lo, piece.exponent_hi)
-        t = piece.lo + half * (1.0 + x)
-        fw = np.array([f(ti) for ti in t]) * (
-            half * w / ((1.0 + x) ** piece.exponent_lo * (1.0 - x) ** piece.exponent_hi))
-        # 128 moments at a time bounds the phase matrix at any order
-        vals = np.concatenate([np.exp(-1j * np.outer(ks[i:i + 128], t)) @ fw
-                               for i in range(0, order + 1, 128)])
+        vals = _rule_moments(f, piece, n, order)
         if prev is not None:
             diff = np.abs(vals.real - prev.real) + np.abs(vals.imag - prev.imag)
             if diff.max() <= MOMENT_ERROR_TARGET:
@@ -223,26 +200,44 @@ def _gauss_jacobi_moments(f: Callable[[float], float], piece: SupportPiece,
     return None
 
 
-def _piece_moments(f: Callable[[float], float], piece: SupportPiece, order: int,
-                   node_budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error estimates) of the moments of f over a piece, k = 0..order.
+def _panel_moments(f: Callable[[float], float], piece: SupportPiece,
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of f over a piece, k = 0..order, by composite Gauss-Jacobi panels.
 
-    Gauss-Jacobi when the doubled rules agree, else one adaptive quadrature
-    per moment, stopping after the first moment that misses
-    MOMENT_ERROR_TARGET (the remaining entries stay 0).
+    Each panel, the piece itself first, takes the 16- and 32-node rules with
+    the piece's exponent only at an end it shares with the piece. It is kept
+    when they agree within MOMENT_ERROR_TARGET times max(its share of the
+    piece, 1e-3) on every moment, else halved. Returns (values, summed
+    differences); past PANEL_CAP panels raises QuadratureAccuracyError.
     """
-    rule = _gauss_jacobi_moments(f, piece, order)
-    if rule is not None:
-        return rule
     vals = np.zeros(order + 1, dtype=complex)
     errs = np.zeros(order + 1)
-    for k in range(order + 1):
-        def integrand(t, _k=k):
-            return f(t) * cmath.exp(-1j * _k * t)
-        vals[k], errs[k] = _integrate_piece(integrand, piece, node_budget)
-        if errs[k] > MOMENT_ERROR_TARGET:
-            break
+    todo = [(piece.lo, piece.hi)]
+    panels = 1
+    while todo:
+        lo, hi = todo.pop()
+        panel = SupportPiece(lo, hi, piece.exponent_lo if lo == piece.lo else 0.0,
+                             piece.exponent_hi if hi == piece.hi else 0.0)
+        coarse = _rule_moments(f, panel, 16, order)
+        fine = _rule_moments(f, panel, 32, order)
+        diff = np.abs(fine.real - coarse.real) + np.abs(fine.imag - coarse.imag)
+        if diff.max() <= MOMENT_ERROR_TARGET * max((hi - lo) / (piece.hi - piece.lo), 1e-3):
+            vals += fine
+            errs += diff
+            continue
+        panels += 1
+        if panels > PANEL_CAP:
+            raise QuadratureAccuracyError(float((errs + diff).max()), MOMENT_ERROR_TARGET,
+                                          context=f"moments over [{piece.lo}, {piece.hi}]")
+        mid = 0.5 * (lo + hi)
+        todo += [(mid, hi), (lo, mid)]
     return vals, errs
+
+
+def _piece_moments(f: Callable[[float], float], piece: SupportPiece,
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) of the moments of f over a piece: doubled rules, else panels."""
+    return _gauss_jacobi_moments(f, piece, order) or _panel_moments(f, piece, order)
 
 
 @dataclass(frozen=True)
@@ -270,7 +265,7 @@ def trig_moments(measure: MeasureSpec, order: int) -> TrigMoments:
     if measure.density is not None:
         errs = np.zeros(order + 1)
         for piece in measure.pieces:
-            vals, e = _piece_moments(measure.density, piece, order, measure.node_budget)
+            vals, e = _piece_moments(measure.density, piece, order)
             raw += vals
             errs += e
         over = np.flatnonzero(errs > MOMENT_ERROR_TARGET)

@@ -286,6 +286,7 @@ def classify_conditions(seq: ReflectionSequence, a: complex, tau: complex, n_ter
     if not abs(abs(tt) - 1.0) <= 1e-12:  # also rejects non-finite tau
         raise InvalidRotationError(tt)
     aa = complex(a)
+    arc_from_a(aa)  # the 0 < |a| < 1 check, which also rejects NaN
     phase = cmath.phase(tt)
     ks = np.arange(1, n_terms + 1)
     dev = np.empty(n_terms)

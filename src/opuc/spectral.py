@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg
 
 from . import szego
 from .core import ReflectionSequence, arc_from_a, unit_point
@@ -98,6 +97,9 @@ def truncation_zeros(seq: ReflectionSequence, n_dim: int, max_dim: int = DEFAULT
     Computed through the complex Schur form, which works on the matrix as
     given (no balancing step).
     """
+    # imported here: scipy.linalg costs 0.3 s that most CLI calls never need
+    import scipy.linalg
+
     h = hessenberg(seq, n_dim, max_dim=max_dim).entries
     try:
         t, _ = scipy.linalg.schur(h, output="complex")

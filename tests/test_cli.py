@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +252,40 @@ def test_geronimus_nonpositive_nmax_exits_one(capsys, nmax):
 def test_three_part_complex_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and err and not out
+
+
+@pytest.mark.parametrize("a", ["nan", "1.5"])
+def test_conditions_bad_a_exits_one(capsys, a):
+    code, out, err = run(capsys, "conditions", "--coeffs", "const:0.5", "--a", a, "--N", "10")
+    assert code == 1 and err and not out
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # one fresh interpreter: only spectrum, oracle and selftest load scipy,
+    # and none of them scipy.integrate
+    script = """
+import contextlib, io, sys
+from opuc import cli
+assert "scipy" not in sys.modules
+def main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+main("eval", "--coeffs", "const:0.5", "--n", "20", "--theta-grid", "8")
+main("geronimus", "--a", "0.5", "--nmax", "50", "--grid-points", "8")
+main("conditions", "--coeffs", "const:0.5", "--a", "0.5", "--N", "20")
+main("krein", "--coeffs", "const:0.5", "--N", "20")
+main("example17", "--alpha", "1.0", "--gamma", "0.3", "--delta", "0.7", "--nmax", "20")
+main("lemma18", "--a", "0.5", "--b", "1.5", "--x", "2.0", "--nmax", "20")
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+main("spectrum", "--coeffs", "const:0.5", "--N", "20")
+main("oracle", "--mode", "moments", "--measure", "geronimus:a=0.5", "--K", "4")
+main("oracle", "--mode", "recover", "--measure", "geronimus:a=0.5", "--n", "3", "--K", "4")
+main("oracle", "--mode", "reconstruct", "--coeffs", "const:0.5", "--theta1", "2",
+     "--theta2", "4", "--n", "10")
+main("selftest")
+assert "scipy.integrate" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

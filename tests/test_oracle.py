@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from opuc.errors import (
     RankDeficiencyError,
     SequenceSpecError,
 )
+from opuc.oracle import SupportPiece
 
 # quadrature value of the consistent arc density of the a = 0.5 system over
 # (pi/2, 3 pi/2); adaptive quadrature oracle, error estimate 1.1e-9
@@ -245,11 +247,43 @@ def test_quadrature_handles_negative_exponents():
         assert abs(c - special.arc_reflection_exact(p, k)) < 1e-6
 
 
+def _integrate_piece(f: Callable[[float], float], piece: SupportPiece,
+                     node_budget: int) -> tuple[complex, float]:
+    """Integrate f over a piece, regularizing both endpoints by substitution.
+
+    Splits at the midpoint; on each half with endpoint exponent g the change
+    of variable theta = endpoint +- u^(1/(1+g)) makes the integrand bounded.
+    """
+    mid = 0.5 * (piece.lo + piece.hi)
+    total = 0.0 + 0.0j
+    err = 0.0
+    for (anchor, far, g, sign) in ((piece.lo, mid, piece.exponent_lo, 1.0),
+                                   (piece.hi, mid, piece.exponent_hi, -1.0)):
+        p = 1.0 + g
+        width = abs(far - anchor)
+        if g == 0.0:
+            def reg(u, _anchor=anchor, _sign=sign):
+                return f(_anchor + _sign * u)
+            upper = width
+        else:
+            def reg(u, _anchor=anchor, _sign=sign, _p=p):
+                if u <= 0.0:
+                    return 0.0
+                return f(_anchor + _sign * u ** (1.0 / _p)) * (u ** (1.0 / _p - 1.0)) / _p
+            upper = width**p
+        val, e = quad(reg, 0.0, upper, limit=node_budget,
+                      epsabs=1e-12, epsrel=1e-12, complex_func=True)
+        total += val
+        ec = complex(e)  # complex_func=True reports per-part errors as a complex
+        err += abs(ec.real) + abs(ec.imag)
+    return total, err
+
+
 def _adaptive_piece_moments(measure, piece, order):
     # the per-moment adaptive route that the Gauss-Jacobi rule replaced
     return np.array([
-        oracle._integrate_piece(lambda t, k=k: measure.density(t) * cmath.exp(-1j * k * t),
-                                piece, measure.node_budget)[0]
+        _integrate_piece(lambda t, k=k: measure.density(t) * cmath.exp(-1j * k * t),
+                         piece, 400)[0]
         for k in range(order + 1)])
 
 
@@ -273,18 +307,41 @@ def test_gauss_jacobi_rule_matches_adaptive_route(measure):
         assert np.max(errors) <= oracle.MOMENT_ERROR_TARGET
 
 
-def test_moments_fall_back_to_adaptive_route():
+# (a, K) of the cli-cold benchmark's Geronimus moment sets (seeds 1-200,
+# decks 0-7) where per-moment adaptive quadrature, the earlier fallback,
+# misses 1e-10
+_PANEL_CASES = [
+    (complex(0.09754051963384835, -0.29993784658019734), 7),
+    (complex(0.13914390702826196, -0.34652709401759363), 10),
+    (complex(0.1785674492042322, 0.3858424319636709), 6),
+    (complex(0.11150415301324872, 0.31562630359694877), 8),
+    (complex(0.10715797675907016, 0.3074976798686751), 6),
+    (complex(0.14219352929398307, -0.3507466517438415), 6),
+    (complex(0.13022764342593682, 0.3386855704267616), 9),
+    (complex(0.0964647576033, 0.2956549465895922), 10),
+    (complex(0.11592971730692403, -0.32036572849821804), 11),
+]
+
+
+@pytest.mark.parametrize("a,order", _PANEL_CASES, ids=[
+    "seed50", "seed66", "seed77", "seed107", "seed113", "seed140", "seed155", "seed165",
+    "seed197"])
+def test_moments_fall_back_to_gauss_jacobi_panels(a, order):
     # the density peaks just inside an arc end: the doubled Gauss-Jacobi rules
-    # still disagree at GAUSS_MAX_NODES, so each moment takes the adaptive route
-    measure = oracle.parse_measure("geronimus:a=0.0952,-0.3023")
+    # still disagree at GAUSS_MAX_NODES, so the piece is cut into panels
+    measure = oracle.geronimus_measure(a)
     (piece,) = measure.pieces
-    assert oracle._gauss_jacobi_moments(measure.density, piece, 8) is None
-    mom = oracle.trig_moments(measure, 8)
-    ((theta, mass),) = measure.point_masses
-    ref = _adaptive_piece_moments(measure, piece, 8) + mass * np.exp(-1j * np.arange(9) * theta)
-    assert np.max(np.abs(mom.values - ref / ref[0].real)) < 1e-15
-    rec = oracle.verblunsky_from_moments(mom, 7)
-    assert max(abs(c - complex(0.0952, -0.3023)) for c in rec.coefficients) < 1e-6
+    assert oracle._gauss_jacobi_moments(measure.density, piece, order) is None
+    values, errors = oracle._piece_moments(measure.density, piece, order)
+    m = geronimus.mu_a_spec(a)
+    ks = np.arange(order + 1)
+    density_part = (np.array(_exact_moments([a] * order, order))
+                    - m.j_beta_squared_denom * np.exp(-1j * ks * m.beta))
+    true_error = np.abs(values - density_part)
+    assert np.max(true_error) < 1e-13
+    assert np.all(errors >= true_error)
+    rec = oracle.verblunsky_from_moments(oracle.trig_moments(measure, order), order - 1)
+    assert max(abs(c - a) for c in rec.coefficients) < 1e-6
 
 
 def _quad_arc_mass(a, subarc, n):

@@ -323,3 +323,9 @@ def test_condition_report_json_shape():
 def test_conditions_reject_non_finite_rotation(tau):
     with pytest.raises(InvalidRotationError):
         perturbation.classify_conditions(Constant(0.5), 0.5, tau, 100)
+
+
+@pytest.mark.parametrize("a", [math.nan, complex(0.5, math.nan), 1.5, 0.0])
+def test_conditions_reject_a_outside_the_disk(a):
+    with pytest.raises(DomainError):
+        perturbation.classify_conditions(Constant(0.5), a, 1.0, 100)
