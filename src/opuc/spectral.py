@@ -252,7 +252,10 @@ def krein_check(seq: ReflectionSequence, n_terms: int, stab_tol: float = 0.05) -
     # oscillation detector over the last half: wide enough that a slowly
     # wandering argument (which a short window would miss) shows up
     phi_tail = phis[n_terms // 2:]
-    diam = float(np.max(np.abs(phi_tail[:, None] - phi_tail[None, :])))
+    # |x - y| is symmetric, so blocks of rows against the columns from the
+    # block's start cover every pair in bounded memory
+    diam = max(float(np.max(np.abs(phi_tail[i:i + 128, None] - phi_tail[None, i:])))
+               for i in range(0, len(phi_tail), 128))
     geronimus_tail = None
     if np.all(np.abs(phis.imag) == 0.0):
         vals = (1.0 + phis[:-1].real) * (1.0 - phis[1:].real)

@@ -16,9 +16,9 @@ coefficient of a sequence therefore swaps the phi and psi columns exactly
 Two folds carry the recurrence: evaluate() and christoffel_terms() on Python
 scalars, and sweep() in place over an angle grid for every grid consumer
 (sweep_abs_phi, degree_peaks, the oracle's quadrature). Two independent code
-paths cross-check them: a scalar route that keeps the kappa products
-explicit, and a summation route that rebuilds kappa_n phi*_n from all
-lower-degree values.
+paths cross-check them: pair_evaluate(), which keeps the kappa products
+explicit and scales both by 2^-256 past 2^256, and schur_sum_eval(), its own
+scalar fold that rebuilds kappa_n phi*_n from all lower-degree values.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def pair_evaluate(seq: ReflectionSequence, n: int, z: complex) -> tuple[complex,
     Literal form: kappa_{n-1} phi_n = z kappa_n phi_{n-1} + phi_n(0) phi*_{n-1}
     and its reversed companion, with phi_n(0) = kappa_n b. The kappa product
     is accumulated separately, so this is an independent code path from
-    evaluate().
+    evaluate(). Both kappa weights are scaled by 2^-256 whenever kappa passes
+    2^256, which leaves every step's value unchanged and keeps it finite.
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
@@ -115,6 +116,8 @@ def pair_evaluate(seq: ReflectionSequence, n: int, z: complex) -> tuple[complex,
     for k in range(1, n + 1):
         b = seq.coeff_at(k)
         kappa_k = kappa_prev / math.sqrt(1.0 - abs(b) ** 2)
+        if kappa_k > 2.0 ** 256:  # only the ratio enters; a power of two is exact
+            kappa_k, kappa_prev = kappa_k * 2.0 ** -256, kappa_prev * 2.0 ** -256
         phi_at_zero = kappa_k * b
         phi_new = (zz * kappa_k * phi + phi_at_zero * phi_star) / kappa_prev
         phi_star_new = (kappa_k * phi_star + zz * phi_at_zero.conjugate() * phi) / kappa_prev
@@ -124,8 +127,9 @@ def pair_evaluate(seq: ReflectionSequence, n: int, z: complex) -> tuple[complex,
 
 
 def kappa(seq: ReflectionSequence, n: int) -> float:
-    """Leading coefficient kappa_n, accumulated in log space."""
-    return math.exp(log_kappa(seq, n))
+    """Leading coefficient kappa_n, accumulated in log space; inf past double range."""
+    log_k = log_kappa(seq, n)
+    return math.exp(log_k) if log_k < 709.0 else math.inf
 
 
 def log_kappa(seq: ReflectionSequence, n: int) -> float:
@@ -141,16 +145,21 @@ def schur_sum_eval(seq: ReflectionSequence, n: int, z: complex) -> complex:
     """kappa_n phi*_n(z) as the sum of conj(coefficient_k) kappa_k phi_k(z).
 
     The k = 0 coefficient is 1. Equality with kappa_n * phi_star from
-    evaluate() is the summation-route consistency check.
+    evaluate() is the summation-route consistency check. The fold runs on
+    local scalars with the phi, phi* and kappa expression text of step(), so
+    the sum equals one built from chained step() calls bit for bit.
     """
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
+    zz = complex(z)
+    phi = phi_star = kappa = 1.0
     total = 1.0 + 0.0j  # k = 0 term
-    state = initial_state(z)
-    for k in range(1, n + 1):
-        b = seq.coeff_at(k)
-        state = step(state, b)
-        total += b.conjugate() * state.kappa * state.phi
+    for b in seq.coeffs(n):
+        r = math.sqrt(1.0 - abs(b) ** 2)
+        bc = b.conjugate()
+        phi, phi_star = (zz * phi + b * phi_star) / r, (zz * bc * phi + phi_star) / r
+        kappa = kappa / r
+        total += bc * kappa * phi
     return total
 
 

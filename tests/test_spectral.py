@@ -192,6 +192,14 @@ def test_krein_constant_fails():
     assert rep.phi_converged
 
 
+@pytest.mark.parametrize("n_terms", [10, 300, 1001])
+def test_krein_diameter_matches_full_difference_matrix(n_terms):
+    seq = random_explicit(np.random.default_rng(n_terms), n_terms)
+    tail = np.array(seq.coeffs(n_terms))[n_terms // 2:]
+    full = float(np.max(np.abs(tail[:, None] - tail[None, :])))
+    assert spectral.krein_check(seq, n_terms).phi_diameter == full
+
+
 def test_christoffel_free_case_diverges():
     rep = spectral.christoffel_sum(Constant(0.0), cmath.exp(0.7j), 100)
     assert rep.partial_sums[-1] == pytest.approx(101.0, abs=1e-9)

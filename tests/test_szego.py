@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opuc import szego
 from opuc.core import Constant, Explicit, Perturbed, Zhedanov, arc_from_a
@@ -78,6 +79,98 @@ def test_schur_sum_matches_reversed_polynomial():
     st = szego.evaluate(Constant(0.5), 20, z)
     total = szego.schur_sum_eval(Constant(0.5), 20, z)
     assert total == pytest.approx(st.kappa * st.phi_star, rel=1e-10)
+
+
+def _schur_by_steps(seq, n, z):
+    """The summation route as chained step() calls, the reference for schur_sum_eval."""
+    total = 1.0 + 0.0j  # k = 0 term
+    state = szego.initial_state(z)
+    for k in range(1, n + 1):
+        b = seq.coeff_at(k)
+        state = szego.step(state, b)
+        total += b.conjugate() * state.kappa * state.phi
+    return total
+
+
+def _pair_unscaled(seq, n, z):
+    """pair_evaluate with kappa carried unscaled; NaN once kappa overflows."""
+    zz = complex(z)
+    phi, phi_star = 1.0 + 0.0j, 1.0 + 0.0j
+    kappa_prev = 1.0
+    for k in range(1, n + 1):
+        b = seq.coeff_at(k)
+        kappa_k = kappa_prev / math.sqrt(1.0 - abs(b) ** 2)
+        phi_at_zero = kappa_k * b
+        phi_new = (zz * kappa_k * phi + phi_at_zero * phi_star) / kappa_prev
+        phi_star_new = (kappa_k * phi_star + zz * phi_at_zero.conjugate() * phi) / kappa_prev
+        phi, phi_star = phi_new, phi_star_new
+        kappa_prev = kappa_k
+    return phi, phi_star
+
+
+def _same_or_both_nan(got, ref):
+    return got == ref or (cmath.isnan(got) and cmath.isnan(ref))
+
+
+def _pair_residual(seq, n, z):
+    ref = szego.evaluate(seq, n, z)
+    phi, phi_star = szego.pair_evaluate(seq, n, z)
+    scale = max(1.0, abs(ref.phi), abs(ref.phi_star))
+    return max(abs(phi - ref.phi), abs(phi_star - ref.phi_star)) / scale
+
+
+_KINDS = {
+    "const": Constant(0.5),
+    "plain": Perturbed(a=0.45 + 0.2j, amplitude=0.3, p=1.0, sign="plain"),
+    "alt": Perturbed(a=0.6, amplitude=0.25, p=1.5, sign="alt"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("theta,n", [
+    (2.5, 0), (2.5, 1), (2.5, 1500), (math.pi, 3000),  # on the arc
+    (0.2, 400),  # in the gap, where the values grow geometrically
+    (4.0, 9000),  # on the arc past the degree where kappa_n overflows
+])
+def test_schur_sum_eval_is_bit_identical_to_step_chain(kind, theta, n):
+    seq = _KINDS[kind]
+    z = cmath.exp(1j * theta)
+    assert _same_or_both_nan(szego.schur_sum_eval(seq, n, z), _schur_by_steps(seq, n, z))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("theta,n", [(2.5, 2000), (math.pi, 3000), (0.2, 60)])
+def test_pair_evaluate_is_bit_identical_to_unscaled_route_while_finite(kind, theta, n):
+    # kappa passes 2^256, and is rescaled, on the arc cases, not on the gap case
+    seq = _KINDS[kind]
+    z = cmath.exp(1j * theta)
+    ref = _pair_unscaled(seq, n, z)
+    assert all(map(cmath.isfinite, ref))
+    assert szego.pair_evaluate(seq, n, z) == ref
+
+
+def test_pair_evaluate_stays_finite_past_kappa_overflow():
+    assert all(map(cmath.isnan, _pair_unscaled(Constant(0.5), 6000, 1j)))
+    assert _pair_residual(Constant(0.5), 6000, 1j) < 1e-13
+    assert _pair_residual(_KINDS["alt"], 9000, cmath.exp(4.0j)) < 1e-10
+
+
+def test_kappa_is_inf_past_double_range():
+    assert szego.kappa(Constant(0.5), 6000) == math.inf
+    assert szego.kappa(Constant(0.5), 4900) == math.exp(szego.log_kappa(Constant(0.5), 4900))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["const", "plain", "alt"]), mod=st.floats(0.3, 0.7),
+       arg=st.floats(0.0, 2.0 * math.pi), amplitude=st.floats(0.2, 0.5),
+       p=st.floats(1.0, 2.5), n=st.integers(0, 3000), u=st.floats(0.05, 0.95))
+def test_summation_and_pair_routes_on_generated_sequences(kind, mod, arg, amplitude, p, n, u):
+    a = cmath.rect(mod, arg)
+    seq = Constant(a) if kind == "const" else Perturbed(a=a, amplitude=amplitude, p=p, sign=kind)
+    alpha = arc_from_a(a).alpha
+    z = cmath.exp(1j * (alpha + u * (2.0 * math.pi - 2.0 * alpha)))
+    assert _same_or_both_nan(szego.schur_sum_eval(seq, n, z), _schur_by_steps(seq, n, z))
+    assert _pair_residual(seq, n, z) < 1e-10
 
 
 def test_route_equivalence_random_corpus():
