@@ -405,13 +405,17 @@ def reconstruct_arc_mass(seq: ReflectionSequence, subarc: tuple[float, float], n
 
 
 _SWEEP_CHUNK = 1 << 16  # nodes per grid sweep; bounds the sweep's buffers
+# 8-point Gauss-Legendre rule, the bits of scipy.special.roots_jacobi(8, 0, 0)
+_GL8_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.18343464249564984,
+                       0.18343464249564984, 0.525532409916329, 0.7966664774136267, 0.9602898564975363])
+_GL8_WEIGHTS = np.array([0.10122853629037562, 0.22238103445337473, 0.3137066458778876, 0.36268378337836205,
+                         0.36268378337836205, 0.3137066458778876, 0.22238103445337473, 0.10122853629037562])
 
 
 def _gauss_legendre_panels(seq: ReflectionSequence, left: np.ndarray, width: np.ndarray,
                            n: int) -> np.ndarray:
     """8-point Gauss-Legendre integral of |phi_n|^(-2) over each panel [left, left + width]."""
-    x, w = _jacobi_rule(8, 0.0, 0.0)
-    t = (left[:, None] + 0.5 * width[:, None] * (x + 1.0)).ravel()
+    t = (left[:, None] + 0.5 * width[:, None] * (_GL8_NODES + 1.0)).ravel()
     inv = np.empty_like(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, t.size, _SWEEP_CHUNK):
@@ -421,7 +425,7 @@ def _gauss_legendre_panels(seq: ReflectionSequence, left: np.ndarray, width: np.
             mod2 = abs_phi * abs_phi
             # phi overflows in a gap, where the true integrand is below 1e-300
             inv[i:i + _SWEEP_CHUNK] = np.where(np.isfinite(mod2) & (mod2 > 0.0), 1.0 / mod2, 0.0)
-    return 0.5 * width * (inv.reshape(-1, 8) @ w)
+    return 0.5 * width * (inv.reshape(-1, 8) @ _GL8_WEIGHTS)
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,10 @@ def hessenberg(seq: ReflectionSequence, n_dim: int, max_dim: int = DEFAULT_MAX_D
         raise DomainError(f"dimension {n_dim} exceeds the cap {max_dim}; pass max_dim to override")
     phis, log_r, log_prefix = _log_factors(seq, n_dim)
     u = np.zeros((n_dim, n_dim), dtype=complex)
-    for j in range(n_dim):
-        rows = np.arange(j + 1)
-        u[rows, j] = -phis[j + 1] * np.conj(phis[rows]) * np.exp(log_prefix[j] - log_prefix[rows])
-        if j + 1 < n_dim:
-            u[j + 1, j] = math.exp(log_r[j])
+    # only the upper triangle: there log_prefix[j] - log_prefix[i] <= 0, so exp cannot overflow
+    i, j = np.triu_indices(n_dim)
+    u[i, j] = -phis[j + 1] * np.conj(phis[i]) * np.exp(log_prefix[j] - log_prefix[i])
+    u[range(1, n_dim), range(n_dim - 1)] = [math.exp(v) for v in log_r[: n_dim - 1]]
     return HessenbergTruncation(n=n_dim, entries=u)
 
 
@@ -94,22 +93,18 @@ def diagonal_norms(seq: ReflectionSequence, n_dim: int, j_max: int) -> list[floa
 def truncation_zeros(seq: ReflectionSequence, n_dim: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Eigenvalues of the truncation = zeros of the degree-N monic polynomial.
 
-    Computed through the complex Schur form, which works on the matrix as
-    given (no balancing step).
+    LAPACK zgeev balances the matrix and computes its eigenvalues only; no
+    Schur form or eigenvectors are kept.
     """
-    # imported here: scipy.linalg costs 0.3 s that most CLI calls never need
-    import scipy.linalg
-
     h = hessenberg(seq, n_dim, max_dim=max_dim).entries
     try:
-        t, _ = scipy.linalg.schur(h, output="complex")
-    except Exception as exc:  # LinAlgError or LAPACK convergence failure
+        return np.linalg.eigvals(h)
+    except np.linalg.LinAlgError as exc:  # the QR iteration did not converge
         try:
             cond = float(np.linalg.cond(h))
-        except Exception:
+        except np.linalg.LinAlgError:
             cond = math.inf
         raise EigenSolverError(n_dim, cond, str(exc)) from exc
-    return np.diag(t).copy()
 
 
 def zeros_from_coefficients(seq: ReflectionSequence, n_dim: int) -> np.ndarray:

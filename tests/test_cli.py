@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from opuc import cli
@@ -260,9 +261,19 @@ def test_conditions_bad_a_exits_one(capsys, a):
     assert code == 1 and err and not out
 
 
+def test_eigensolver_failure_exits_two(capsys, monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code, out, err = run(capsys, "spectrum", "--coeffs", "const:0.5", "--N", "30")
+    assert code == 2 and "eigensolver failed" in err and not out
+
+
 def test_scipy_stays_off_the_import_path(tmp_path):
-    # one fresh interpreter: only spectrum, oracle and selftest load scipy,
-    # and none of them scipy.integrate
+    # one fresh interpreter: only oracle moments/recover and selftest load
+    # scipy, for roots_jacobi (which imports scipy.linalg itself), and none
+    # of them scipy.integrate
     script = """
 import contextlib, io, sys
 from opuc import cli
@@ -276,12 +287,12 @@ main("conditions", "--coeffs", "const:0.5", "--a", "0.5", "--N", "20")
 main("krein", "--coeffs", "const:0.5", "--N", "20")
 main("example17", "--alpha", "1.0", "--gamma", "0.3", "--delta", "0.7", "--nmax", "20")
 main("lemma18", "--a", "0.5", "--b", "1.5", "--x", "2.0", "--nmax", "20")
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 main("spectrum", "--coeffs", "const:0.5", "--N", "20")
-main("oracle", "--mode", "moments", "--measure", "geronimus:a=0.5", "--K", "4")
-main("oracle", "--mode", "recover", "--measure", "geronimus:a=0.5", "--n", "3", "--K", "4")
 main("oracle", "--mode", "reconstruct", "--coeffs", "const:0.5", "--theta1", "2",
      "--theta2", "4", "--n", "10")
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+main("oracle", "--mode", "moments", "--measure", "geronimus:a=0.5", "--K", "4")
+main("oracle", "--mode", "recover", "--measure", "geronimus:a=0.5", "--n", "3", "--K", "4")
 main("selftest")
 assert "scipy.integrate" not in sys.modules
 """

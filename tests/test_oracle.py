@@ -380,6 +380,13 @@ def test_reconstruct_matches_adaptive_quadrature(a, subarc, n):
     assert abs(coarse.sum() / (2.0 * math.pi) - ref) > 1e-5
 
 
+def test_panel_rule_literals_are_the_gauss_legendre_rule():
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(8, 0.0, 0.0)
+    assert np.array_equal(oracle._GL8_NODES, x) and np.array_equal(oracle._GL8_WEIGHTS, w)
+
+
 def test_reconstruct_finds_mass_point_in_subarc():
     # a = -0.5 has a mass point of weight 2/3 at theta = 0, in the gap
     val = oracle.reconstruct_arc_mass(Constant(-0.5), (-0.5, 0.5), 20)

@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from opuc import geronimus, spectral, szego
-from opuc.core import Constant, Explicit, Zhedanov
-from opuc.errors import DomainError
+from opuc.core import Constant, Explicit, Perturbed, Zhedanov
+from opuc.errors import DomainError, EigenSolverError
 from conftest import random_explicit
 
 
@@ -39,6 +40,27 @@ def test_hessenberg_columns_are_unit_vectors():
     rng = np.random.default_rng(51)
     for seq in (Constant(0.5), Zhedanov(0.5), random_explicit(rng, 40)):
         assert spectral.hessenberg(seq, 40).column_unit_defect() < 1e-12
+
+
+def _hessenberg_by_columns(seq, n_dim):
+    """Reference build: one column of the upper triangle per loop pass."""
+    phis, log_r, log_prefix = spectral._log_factors(seq, n_dim)
+    u = np.zeros((n_dim, n_dim), dtype=complex)
+    for j in range(n_dim):
+        rows = np.arange(j + 1)
+        u[rows, j] = -phis[j + 1] * np.conj(phis[rows]) * np.exp(log_prefix[j] - log_prefix[rows])
+        if j + 1 < n_dim:
+            u[j + 1, j] = math.exp(log_r[j])
+    return u
+
+
+@pytest.mark.parametrize("seq", [Constant(0.5 - 0.2j), Perturbed(a=0.5, amplitude=1.0, p=2.0),
+                                 Perturbed(a=0.4 + 0.3j, amplitude=0.8, p=1.0, sign="alt")])
+@pytest.mark.parametrize("n_dim", [1, 2, 150, 2000])
+def test_hessenberg_is_bit_identical_to_column_loop(seq, n_dim):
+    h = spectral.hessenberg(seq, n_dim).entries
+    ref = _hessenberg_by_columns(seq, n_dim)
+    assert h.tobytes() == ref.tobytes()
 
 
 def test_hessenberg_dimension_cap():
@@ -97,6 +119,35 @@ def test_truncation_zeros_inside_disk_and_match_companion():
         comp = spectral.zeros_from_coefficients(seq, 12)
         assert np.max(np.abs(eig)) < 1.0
         assert spectral.hausdorff_distance(eig, comp) < 1e-7
+
+
+def _mp_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """30-digit eigenvalues of the same double-precision matrix."""
+    with mpmath.workdps(30):
+        m = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in h])
+        return np.array([complex(v) for v in mpmath.eig(m, left=False, right=False)])
+
+
+@pytest.mark.parametrize("seq,n_dim", [
+    (Zhedanov(0.5), 30),     # zeros cluster within 1e-9 of -1
+    (Constant(0.5), 12),
+    (Perturbed(a=0.5 + 0.2j, amplitude=0.8, p=1.0, sign="alt"), 12),
+])
+def test_truncation_zeros_match_extended_precision_eigenvalues(seq, n_dim):
+    ref = _mp_eigenvalues(spectral.hessenberg(seq, n_dim).entries)
+    assert spectral.hausdorff_distance(spectral.truncation_zeros(seq, n_dim), ref) < 1e-12
+
+
+def test_eigensolver_failure_raises_eigen_solver_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(EigenSolverError) as info:
+        spectral.truncation_zeros(Constant(0.5), 12)
+    assert info.value.size == 12
+    assert math.isfinite(info.value.condition_estimate)
+    assert "did not converge" in str(info.value)
 
 
 def test_zeros_inside_disk_many_sequences():
