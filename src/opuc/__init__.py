@@ -18,10 +18,8 @@ from .core import (
     Perturbed,
     ReflectionSequence,
     Rotated,
-    UnitCirclePoint,
     Zhedanov,
     arc_from_a,
-    coeff_at,
     parse_sequence,
     rotate_sequence,
 )
@@ -52,10 +50,8 @@ __all__ = [
     "ReflectionSequence",
     "Rotated",
     "SequenceSpecError",
-    "UnitCirclePoint",
     "Zhedanov",
     "arc_from_a",
-    "coeff_at",
     "geronimus",
     "oracle",
     "parse_sequence",

@@ -33,6 +33,7 @@ import numpy as np
 from . import geronimus, oracle, perturbation, selftest, special, spectral, szego
 from .core import _parse_complex, parse_sequence
 from .errors import (
+    DomainError,
     EigenSolverError,
     QuadratureAccuracyError,
     RankDeficiencyError,
@@ -120,6 +121,9 @@ def _cmd_eval(args) -> int:
     for j in range(count):
         theta = 2.0 * math.pi * j / count
         st = szego.evaluate(seq, args.n, cmath.exp(1j * theta))
+        if not all(map(cmath.isfinite, (st.phi, st.phi_star, st.psi))):
+            raise DomainError(f"phi_n, phi*_n or psi_n at theta = {_fmt(theta)} is beyond "
+                              f"double range at n = {args.n}")
         rows.append([theta, st.phi.real, st.phi.imag, st.phi_star.real, st.phi_star.imag,
                      st.psi.real, st.psi.imag, st.kappa])
     header = ["theta", "re_phi", "im_phi", "re_phistar", "im_phistar", "re_psi", "im_psi", "kappa"]

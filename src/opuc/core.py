@@ -7,9 +7,9 @@ indices up to 1e6 stay cheap. Every access is validated; a coefficient on or
 outside the unit circle raises, naming the offending index.
 
 Also here: the circular-arc geometry attached to a comparison coefficient a
-(the arc shrinks to a point as |a| -> 1), unit-circle points, the fixed
-2 x 2 matrix norm used artifact-wide, and the parser for the coefficient
-mini-language used by the CLI.
+(the arc shrinks to a point as |a| -> 1), the unit-circle check for points,
+the fixed 2 x 2 matrix norm used artifact-wide, and the parser for the
+coefficient mini-language used by the CLI.
 """
 
 from __future__ import annotations
@@ -53,12 +53,8 @@ class ReflectionSequence:
         return value
 
     def coeffs(self, n: int) -> list[complex]:
-        """Coefficients 1..n as a list."""
-        return [self.coeff_at(k) for k in range(1, n + 1)]
-
-    def _validate_prefix(self, count: int = _EAGER_CHECK) -> None:
-        for k in range(1, count + 1):
-            self.coeff_at(k)
+        """Coefficients 1..n as a list; every loop over indices reads them here."""
+        return list(map(self.coeff_at, range(1, n + 1)))
 
 
 @dataclass(frozen=True, repr=True)
@@ -83,7 +79,7 @@ class Explicit(ReflectionSequence):
 
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(complex(v) for v in values))
-        self._validate_prefix(len(self.values))
+        self.coeffs(len(self.values))  # validates every value
 
     def raw_coeff(self, n: int) -> complex:
         if n > len(self.values):
@@ -148,7 +144,7 @@ class JacobiArc(ReflectionSequence):
         params = special.ArcMeasureParams(self.alpha, self.gamma, self.delta)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_pass", special.arc_reflections(params))
-        self._validate_prefix()
+        self.coeffs(_EAGER_CHECK)  # validates the prefix
 
     def raw_coeff(self, n: int) -> complex:
         store = self._store
@@ -181,16 +177,11 @@ class Perturbed(ReflectionSequence):
             raise DomainError("decay exponent must be positive")
         if self.sign not in ("plain", "alt"):
             raise DomainError(f"sign pattern must be 'plain' or 'alt', got {self.sign!r}")
-        self._validate_prefix()
+        self.coeffs(_EAGER_CHECK)  # validates the prefix
 
     def raw_coeff(self, n: int) -> complex:
         s = -1.0 if (self.sign == "alt" and n % 2) else 1.0
         return self.a + self.amplitude * s * (n + 1.0) ** (-self.p)
-
-
-def coeff_at(seq: ReflectionSequence, n: int) -> complex:
-    """Functional alias for seq.coeff_at(n)."""
-    return seq.coeff_at(n)
 
 
 def rotate_sequence(seq: ReflectionSequence, tau: complex) -> ReflectionSequence:
@@ -210,11 +201,6 @@ class ArcSpec:
             raise DomainError(f"arc half-gap angle must lie in (0, pi), got {self.alpha}")
         if not abs(abs(self.tau) - 1.0) <= 1e-12:  # also rejects non-finite tau
             raise InvalidRotationError(self.tau)
-
-    @property
-    def abs_a(self) -> float:
-        """Modulus of the coefficient generating this arc: sin(alpha/2)."""
-        return math.sin(self.alpha / 2.0)
 
     @property
     def endpoints(self) -> tuple[float, float]:
@@ -243,21 +229,8 @@ def arc_from_a(a: complex, tau: complex = 1.0) -> ArcSpec:
     return ArcSpec(alpha=2.0 * math.asin(r), tau=complex(tau))
 
 
-@dataclass(frozen=True)
-class UnitCirclePoint:
-    theta: float
-    z: complex
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "UnitCirclePoint":
-        t = theta % TWO_PI
-        return cls(theta=t, z=cmath.exp(1j * t))
-
-
 def unit_point(z) -> complex:
-    """Coerce a UnitCirclePoint or complex to a point with |z| = 1."""
-    if isinstance(z, UnitCirclePoint):
-        return z.z
+    """Coerce z to a complex point with |z| = 1."""
     w = complex(z)
     if not abs(abs(w) - 1.0) <= 1e-9:  # also rejects non-finite z
         raise DomainError(f"point must lie on the unit circle, got |z| = {abs(w):.6g}")
@@ -267,14 +240,6 @@ def unit_point(z) -> complex:
 # fixed matrix norm for the whole artifact: maximum absolute column sum
 def mat_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m).sum(axis=0)))
-
-
-def mat_det(m: np.ndarray) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def mat(a11: complex, a12: complex, a21: complex, a22: complex) -> np.ndarray:
-    return np.array([[a11, a12], [a21, a22]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ def normalized_matrices(seq: ReflectionSequence, a: complex, n: int, z: complex)
     """Normalized state matrices at degrees 0..n via the one-step recursion."""
     om = omega(a, z)
     out = [STATE0.copy()]
-    for k in range(1, n + 1):
-        out.append((om + e_matrix(seq.coeff_at(k), a, z)) @ out[-1])
+    for b in seq.coeffs(n):
+        out.append((om + e_matrix(b, a, z)) @ out[-1])
     return out
 
 
@@ -117,8 +117,8 @@ def comparison_identity(seq: ReflectionSequence, a: complex, n: int, z: complex)
     states = normalized_matrices(seq, a, n, zz)
     lhs = omega_inverse_power(a, n, zz) @ states[n]
     rhs = STATE0.copy()
-    for k in range(n):
-        e_k = e_matrix(seq.coeff_at(k + 1), a, zz)
+    for k, b in enumerate(seq.coeffs(n)):
+        e_k = e_matrix(b, a, zz)
         rhs = rhs + omega_inverse_power(a, k + 1, zz) @ e_k @ states[k]
     return ComparisonIdentity(n=n, z=zz, lhs=lhs, rhs=rhs, degenerate=False)
 
@@ -147,10 +147,10 @@ def b_state(seq: ReflectionSequence, a: complex, n: int, z: complex) -> BState:
                       by_product=np.full((2, 2), np.nan, complex), degenerate=True)
     by_def = omega_inverse_power(a, n, zz) @ normalized_matrices(seq, a, n, zz)[n]
     prod = STATE0.copy()
-    for k in range(1, n + 1):
+    for k, b in enumerate(seq.coeffs(n), 1):
         factor = np.eye(2, dtype=complex) + (
             omega_inverse_power(a, k, zz)
-            @ e_matrix(seq.coeff_at(k), a, zz)
+            @ e_matrix(b, a, zz)
             @ omega_power(a, k - 1, zz)
         )
         prod = factor @ prod
@@ -290,9 +290,9 @@ def classify_conditions(seq: ReflectionSequence, a: complex, tau: complex, n_ter
     phase = cmath.phase(tt)
     ks = np.arange(1, n_terms + 1)
     dev = np.empty(n_terms)
-    for k in range(1, n_terms + 1):
+    for k, c in enumerate(seq.coeffs(n_terms), 1):
         rot = cmath.exp(1j * (k * phase))
-        dev[k - 1] = abs(rot * seq.coeff_at(k) - aa)
+        dev[k - 1] = abs(rot * c - aa)
     plain = dev
     logw = np.log(ks) * dev
     linw = ks * dev
@@ -345,8 +345,8 @@ def kappa_limit(seq: ReflectionSequence, a: complex, n_terms: int, tol: float = 
     mark = n_terms - window
     acc = 0.0
     checkpoint = 0.0
-    for k in range(1, n_terms + 1):
-        acc += 0.5 * (la - math.log1p(-abs(seq.coeff_at(k)) ** 2))
+    for k, b in enumerate(seq.coeffs(n_terms), 1):
+        acc += 0.5 * (la - math.log1p(-abs(b) ** 2))
         if k == mark:
             checkpoint = acc
     value = math.exp(acc)
@@ -390,8 +390,8 @@ def s_n_bound(seq: ReflectionSequence, a: complex, n: int, z) -> GronwallBound:
     o11, o12, o21, o22 = zz * inv_sq, aa * inv_sq, zz * aa.conjugate() * inv_sq, inv_sq
     s11, s12, s21, s22 = 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, -1.0 + 0j  # STATE0
     s, log_s1, c1, weighted_tail = 1.0, 0.0, 0.0, 0.0
-    for k in range(1, n + 1):
-        d = seq.coeff_at(k) - aa
+    for k, c in enumerate(seq.coeffs(n), 1):
+        d = c - aa
         e12 = d * inv_sq
         e21 = zz * d.conjugate() * inv_sq
         e_norm = max(abs(e21), abs(e12))  # column sums of (0, e12; e21, 0)

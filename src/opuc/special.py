@@ -13,8 +13,8 @@ Two measure families admit closed machinery:
   exactly ``q**n``.  They generate the sieved point measure behind the
   ``2*q**n - 1`` coefficient sequence.
 
-Everything here is scalar, pure, and cheap; ratio recursions are used where
-raw polynomial values would overflow.
+Everything here is scalar, pure, and cheap; Jacobi polynomials enter only
+through ratios of consecutive values, since the raw values overflow.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from .errors import DomainError
-
-_VALUE_GUARD = 1e280  # forward recurrences raise before overflowing
 
 
 @dataclass(frozen=True)
@@ -74,40 +72,6 @@ class ArcMeasureParams:
         )
 
 
-def general_binomial(x: float, n: int) -> float:
-    """binomial(x, n) for real x > n - 1 via log-gamma."""
-    if n < 0:
-        raise DomainError("binomial lower index must be nonnegative")
-    if n == 0:
-        return 1.0
-    # all three gamma arguments are positive for x > n - 1
-    return math.exp(math.lgamma(x + 1.0) - math.lgamma(n + 1.0) - math.lgamma(x - n + 1.0))
-
-
-def jacobi_value(p: JacobiParams, n: int, x: float) -> float:
-    """Jacobi polynomial with the standard normalization value binom(n+a, n) at 1.
-
-    Forward three-term recurrence; stable for the dominant solution at x > 1
-    and adequate on [-1, 1] for the small degrees used here.
-    """
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    a, b = p.a, p.b
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for m in range(1, n):
-        nxt = _jacobi_step(a, b, m, x, cur, prev)
-        prev, cur = cur, nxt
-        if abs(cur) > _VALUE_GUARD:
-            raise DomainError(
-                f"Jacobi recurrence value exceeded {_VALUE_GUARD:g} at degree {m + 1}; "
-                "use the ratio recursion for large degrees"
-            )
-    return cur
-
-
 def _jacobi_recurrence(a: float, b: float, m: int, x: float) -> tuple[float, float, float]:
     """(c0, c1, c2) of c0 P_{m+1} = c1 P_m - c2 P_{m-1}; c0 > 0 for m >= 1, a, b > -1."""
     s = a + b
@@ -117,29 +81,17 @@ def _jacobi_recurrence(a: float, b: float, m: int, x: float) -> tuple[float, flo
     return c0, c1, c2
 
 
-def _jacobi_step(a: float, b: float, m: int, x: float, pm: float, pm1: float) -> float:
-    # P_{m+1} from P_m, P_{m-1}
-    c0, c1, c2 = _jacobi_recurrence(a, b, m, x)
-    return (c1 * pm - c2 * pm1) / c0
-
-
 def _jacobi_ratios(p: JacobiParams, x: float) -> Iterator[float]:
-    """P_{m+1}/P_m at x for m = 0, 1, 2, ... in one forward pass of the ratio recurrence."""
+    """P_{m+1}/P_m at x for m = 0, 1, 2, ... in one forward pass of the ratio recurrence.
+
+    P_m is the Jacobi polynomial in the standard normalization P_m(1) = binom(m + a, m).
+    """
     a, b = p.a, p.b
     rho = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x  # P_1 / P_0
     for m in count(1):
         yield rho
         c0, c1, c2 = _jacobi_recurrence(a, b, m, x)
         rho = (c1 - c2 / rho) / c0
-
-
-def jacobi_ratio(p: JacobiParams, n: int, x: float) -> float:
-    """P_{n+1}/P_n at x >= 1 by the ratio form of the recurrence (no overflow)."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    if x < 1.0:
-        raise DomainError("ratio recursion requires x >= 1 (polynomials are zero-free there)")
-    return next(islice(_jacobi_ratios(p, x), n, None))
 
 
 def _combine_parity(r_plus: float, r_minus: float, n: int) -> float:

@@ -113,8 +113,7 @@ def pair_evaluate(seq: ReflectionSequence, n: int, z: complex) -> tuple[complex,
     zz = complex(z)
     phi, phi_star = 1.0 + 0.0j, 1.0 + 0.0j
     kappa_prev = 1.0
-    for k in range(1, n + 1):
-        b = seq.coeff_at(k)
+    for b in seq.coeffs(n):
         kappa_k = kappa_prev / math.sqrt(1.0 - abs(b) ** 2)
         if kappa_k > 2.0 ** 256:  # only the ratio enters; a power of two is exact
             kappa_k, kappa_prev = kappa_k * 2.0 ** -256, kappa_prev * 2.0 ** -256
@@ -136,8 +135,8 @@ def log_kappa(seq: ReflectionSequence, n: int) -> float:
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     acc = 0.0
-    for k in range(1, n + 1):
-        acc -= 0.5 * math.log1p(-abs(seq.coeff_at(k)) ** 2)
+    for b in seq.coeffs(n):
+        acc -= 0.5 * math.log1p(-abs(b) ** 2)
     return acc
 
 
@@ -190,8 +189,7 @@ def monic_coefficients(seq: ReflectionSequence, n: int) -> np.ndarray:
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     coeffs = np.array([1.0 + 0.0j])
-    for k in range(1, n + 1):
-        b = seq.coeff_at(k)
+    for b in seq.coeffs(n):
         shifted = np.concatenate(([0.0 + 0.0j], coeffs))        # z * Phi_{k-1}
         reversed_conj = np.conj(coeffs[::-1])                   # Phi*_{k-1}
         star = np.concatenate((reversed_conj, [0.0 + 0.0j]))    # degree k vector

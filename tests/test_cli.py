@@ -46,6 +46,14 @@ def test_eval_to_file_atomic(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_eval_beyond_double_range_exits_one(capsys):
+    # phi_2000 at theta = 0 is off the arc of a = 0.5 and overflows to NaN
+    code, out, err = run(capsys, "eval", "--coeffs", "const:0.5", "--n", "2000",
+                         "--theta-grid", "8")
+    assert code == 1 and not out
+    assert "theta = 0 " in err and "n = 2000" in err
+
+
 def test_spectrum_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--coeffs", "zhedanov:q=0.5", "--N", "60",
                        "--format", "json")

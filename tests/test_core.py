@@ -5,19 +5,17 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from opuc import special
+from opuc import perturbation, special, szego
 from opuc.core import (
     ArcSpec,
     Constant,
     Explicit,
     JacobiArc,
     Perturbed,
-    UnitCirclePoint,
+    ReflectionSequence,
     Zhedanov,
     arc_from_a,
     explicit_from_csv,
-    mat,
-    mat_det,
     mat_norm,
     parse_sequence,
     rotate_sequence,
@@ -79,6 +77,41 @@ def test_nan_file_row_rejected(tmp_path):
     assert exc.value.index == 2
 
 
+class _LateInvalid(ReflectionSequence):
+    """0.5 at every index but 80, which holds `bad`; 80 lies past the eager check."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def raw_coeff(self, n):
+        return self.bad if n == 80 else 0.5
+
+
+_Z = -1.0 + 0j  # mid-arc for a = 0.5
+_LATE_READERS = {
+    "evaluate": lambda seq: szego.evaluate(seq, 100, _Z),
+    "pair_evaluate": lambda seq: szego.pair_evaluate(seq, 100, _Z),
+    "schur_sum_eval": lambda seq: szego.schur_sum_eval(seq, 100, _Z),
+    "kappa": lambda seq: szego.kappa(seq, 100),
+    "log_kappa": lambda seq: szego.log_kappa(seq, 100),
+    "monic_coefficients": lambda seq: szego.monic_coefficients(seq, 100),
+    "normalized_matrices": lambda seq: perturbation.normalized_matrices(seq, 0.5, 100, _Z),
+    "comparison_identity": lambda seq: perturbation.comparison_identity(seq, 0.5, 100, _Z),
+    "b_state": lambda seq: perturbation.b_state(seq, 0.5, 100, _Z),
+    "classify_conditions": lambda seq: perturbation.classify_conditions(seq, 0.5, 1.0, 100),
+    "kappa_limit": lambda seq: perturbation.kappa_limit(seq, 0.5, 100),
+    "s_n_bound": lambda seq: perturbation.s_n_bound(seq, 0.5, 100, _Z),
+}
+
+
+@pytest.mark.parametrize("bad", [NAN, 1.5], ids=["nan", "outside"])
+@pytest.mark.parametrize("reader", sorted(_LATE_READERS))
+def test_invalid_coefficient_found_late_names_its_index(reader, bad):
+    with pytest.raises(InvalidCoefficientError) as exc:
+        _LATE_READERS[reader](_LateInvalid(bad))
+    assert exc.value.index == 80
+
+
 @pytest.mark.parametrize("tau", [NAN, complex(1.0, NAN), float("inf")])
 def test_non_finite_rotation_rejected(tau):
     with pytest.raises(InvalidRotationError):
@@ -134,9 +167,8 @@ def test_arc_roundtrip_modulus():
     rng = np.random.default_rng(6)
     for _ in range(200):
         r = rng.uniform(1e-3, 1 - 1e-6)
-        assert arc_from_a(r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))).abs_a == pytest.approx(
-            r, abs=1e-14
-        )
+        alpha = arc_from_a(r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))).alpha
+        assert math.sin(alpha / 2.0) == pytest.approx(r, abs=1e-14)
 
 
 def test_arc_from_a_domain():
@@ -209,15 +241,14 @@ def test_perturbed_rejects_escape():
 
 
 def test_unit_circle_point():
-    p = UnitCirclePoint.from_theta(2.0)
-    assert abs(p.z) == pytest.approx(1.0, abs=1e-15)
-    assert p.z == pytest.approx(cmath.exp(2j), abs=1e-15)
+    z = cmath.exp(2j)
+    assert unit_point(z) == z
+    assert unit_point(-1) == -1.0 + 0j
 
 
 def test_matrix_norm_is_max_column_sum():
-    m = mat(1.0, 10.0, 2.0, 0.5)
+    m = np.array([[1.0, 10.0], [2.0, 0.5]], dtype=complex)
     assert mat_norm(m) == pytest.approx(10.5)
-    assert mat_det(m) == pytest.approx(1.0 * 0.5 - 10.0 * 2.0)
 
 
 # mini-language ------------------------------------------------------------

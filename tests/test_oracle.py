@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from opuc import geronimus, oracle, special
+from opuc import cli, geronimus, oracle, special
 from opuc.core import Constant, Perturbed
 from opuc.errors import (
     DomainError,
@@ -130,7 +130,8 @@ def test_rank_deficiency_reports_order():
 def test_moment_csv_roundtrip(tmp_path):
     mom = oracle.trig_moments(oracle.geronimus_measure(0.3 + 0.4j), 7)
     path = tmp_path / "moments.csv"
-    oracle.write_moments_csv(mom, path)
+    assert cli.main(["oracle", "--mode", "moments", "--measure", "geronimus:a=0.3,0.4",
+                     "--K", "7", "--output", str(path)]) == 0
     back = oracle.read_moments_csv(path)
     assert back.order == 7
     for k in range(8):

@@ -8,37 +8,62 @@ from opuc import special
 from opuc.errors import DomainError
 
 
+def _binomial(x, n):
+    # binomial(x, n) for real x > n - 1
+    return math.exp(math.lgamma(x + 1.0) - math.lgamma(n + 1.0) - math.lgamma(x - n + 1.0))
+
+
+def _jacobi_value(p, n, x):
+    # P_n(x) by the forward three-term recurrence: the reference for the ratio pass
+    a, b = p.a, p.b
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    for m in range(1, n):
+        c0, c1, c2 = special._jacobi_recurrence(a, b, m, x)
+        prev, cur = cur, (c1 * cur - c2 * prev) / c0
+    return cur
+
+
+def _jacobi_ratios(p, x, count):
+    # P_{m+1}/P_m for m = 0..count-1 from the one ratio pass
+    return list(islice(special._jacobi_ratios(p, x), count))
+
+
 def test_jacobi_value_start():
     p = special.JacobiParams(0.0, 0.0)
-    assert special.jacobi_value(p, 0, 0.37) == 1.0
-    assert special.jacobi_value(p, 1, 0.37) == pytest.approx(0.37)
+    assert _jacobi_ratios(p, 0.37, 1) == [pytest.approx(0.37)]  # P_1 / P_0
 
 
 def test_jacobi_value_at_plus_one():
     p = special.JacobiParams(0.3, 0.7)
-    for n in range(21):
-        assert special.jacobi_value(p, n, 1.0) == pytest.approx(
-            special.general_binomial(n + 0.3, n), rel=1e-12)
+    value = 1.0  # P_0
+    for n, rho in enumerate(_jacobi_ratios(p, 1.0, 20), 1):
+        value *= rho
+        assert value == pytest.approx(_binomial(n + 0.3, n), rel=1e-12)
 
 
 def test_jacobi_value_at_minus_one():
     p = special.JacobiParams(0.3, 0.7)
-    for n in range(21):
-        expected = (-1.0) ** n * special.general_binomial(n + 0.7, n)
-        assert special.jacobi_value(p, n, -1.0) == pytest.approx(expected, rel=1e-10)
+    value = 1.0
+    for n, rho in enumerate(_jacobi_ratios(p, -1.0, 20), 1):
+        value *= rho
+        assert value == pytest.approx((-1.0) ** n * _binomial(n + 0.7, n), rel=1e-10)
 
 
 def test_jacobi_ratio_matches_values():
     p = special.JacobiParams(0.3, 0.7)
+    ratios = _jacobi_ratios(p, 1.8, 21)
     for n in (0, 1, 5, 20):
-        direct = special.jacobi_value(p, n + 1, 1.8) / special.jacobi_value(p, n, 1.8)
-        assert special.jacobi_ratio(p, n, 1.8) == pytest.approx(direct, rel=1e-12)
+        direct = _jacobi_value(p, n + 1, 1.8) / _jacobi_value(p, n, 1.8)
+        assert ratios[n] == pytest.approx(direct, rel=1e-12)
 
 
 def test_jacobi_ratio_survives_large_degrees():
     # raw values overflow near degree 400 at x = 3; the ratio recursion does not
     p = special.JacobiParams(0.3, -0.15)
-    rho = special.jacobi_ratio(p, 2000, 3.0)
+    assert not math.isfinite(_jacobi_value(p, 2000, 3.0))
+    rho = _jacobi_ratios(p, 3.0, 2001)[2000]
     assert math.isfinite(rho) and rho > 1.0
 
 
@@ -191,12 +216,6 @@ def test_qhermite_parity():
             (-1.0) ** n * special.qhermite_value(n, 1.0, 0.5), rel=1e-12)
 
 
-def test_value_guard_raises_before_overflow():
-    p = special.JacobiParams(0.3, -0.15)
-    with pytest.raises(DomainError):
-        special.jacobi_value(p, 2000, 3.0)
-
-
 def _per_index_ratio(a, b, n, x):
     # P_{n+1}/P_n rerun from m = 1 for each n: the reference for the one pass
     rho = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
@@ -234,7 +253,7 @@ def test_one_pass_is_bit_identical_to_per_index_formula(alpha, gamma, delta):
     for n in (1, 2, 3, 1000, n_max - 1, n_max):
         assert special.arc_reflection_exact(p, n) == expected[n - 1]
     for n in (0, 1, 7, 999):
-        assert special.jacobi_ratio(p.jacobi, n, 1.7) == _per_index_ratio(
+        assert _jacobi_ratios(p.jacobi, 1.7, n + 1)[n] == _per_index_ratio(
             p.jacobi.a, p.jacobi.b, n, 1.7)
 
 
