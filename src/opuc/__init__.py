@@ -6,10 +6,11 @@ perturbation diagnostics (perturbation), truncated multiplication-operator
 spectra (spectral), exact generators for two worked measure families
 (special), and measure-side ground truth through moments and quadrature
 (oracle). Everything is pure and immutable; grid sweeps are the intended
-parallelism.
+parallelism. Submodules load on first access: `import opuc` loads no numpy.
 """
 
-from . import geronimus, oracle, perturbation, special, spectral, szego
+import importlib
+
 from .core import (
     ArcSpec,
     Constant,
@@ -34,6 +35,13 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # PEP 562
+    if name in ("geronimus", "oracle", "perturbation", "special", "spectral", "szego"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArcSpec",

@@ -28,9 +28,8 @@ import tempfile
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
-from . import geronimus, oracle, perturbation, selftest, special, spectral, szego
+# the handlers import the rest: eval, example17, lemma18 and usage errors load no numpy
+from . import special, szego
 from .core import _parse_complex, parse_sequence
 from .errors import (
     DomainError,
@@ -131,6 +130,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_geronimus(args) -> int:
+    from . import geronimus
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
     a = _parse_complex(args.a)
@@ -156,6 +156,7 @@ def _cmd_geronimus(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
+    from . import perturbation
     seq = parse_sequence(args.coeffs)
     rep = perturbation.classify_conditions(seq, _parse_complex(args.a),
                                            _parse_complex(args.tau), args.N)
@@ -165,6 +166,9 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from . import spectral
     seq = parse_sequence(args.coeffs)
     a = _parse_complex(args.a) if args.a is not None else seq.coeff_at(args.N)
     rep = spectral.support_report(seq, a, args.N, tol=args.tol)
@@ -173,6 +177,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_krein(args) -> int:
+    from . import spectral
     seq = parse_sequence(args.coeffs)
     rep = spectral.krein_check(seq, args.N)
     rows = [[n + 1, p.real, p.imag, abs(p)] for n, p in enumerate(rep.products)]
@@ -203,6 +208,7 @@ def _cmd_lemma18(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
     if args.mode == "moments":
         measure = oracle.parse_measure(args.measure)
         mom = oracle.trig_moments(measure, args.K)
@@ -232,6 +238,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
     ok = selftest.run_all(lambda line: print(line))
     return 0 if ok else 2
 

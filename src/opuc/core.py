@@ -21,8 +21,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import special
 from .errors import (
     DomainError,
@@ -214,6 +212,7 @@ class ArcSpec:
 
     def grid(self, num: int, epsilon: float = 0.0) -> np.ndarray:
         """Evenly spaced angles on the arc, inset by epsilon at both ends."""
+        import numpy as np
         lo = self.alpha + epsilon
         hi = TWO_PI - self.alpha - epsilon
         if not lo < hi:
@@ -239,6 +238,7 @@ def unit_point(z) -> complex:
 
 # fixed matrix norm for the whole artifact: maximum absolute column sum
 def mat_norm(m: np.ndarray) -> float:
+    import numpy as np
     return float(np.max(np.abs(m).sum(axis=0)))
 
 

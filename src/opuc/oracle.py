@@ -10,19 +10,17 @@ difference is the reported error; a piece that does not settle by 1,024
 nodes (a density peak by an arc end, where |1 - 2a| is near 1 for the
 Geronimus measure) is cut into panels, each halved until its 16- and
 32-node rules agree. Point masses contribute exactly. Reflection
-coefficients are then recovered by the Szego recursion run on the moments,
-which is the Levinson-Durbin algorithm (Levinson 1947, Durbin 1960): the
-inversion of the existence theorem, coefficients in, measure out, moments
-back, coefficients out again. It is written here on numpy arrays and shares
-no code with the recurrence routes it checks. Sign convention: the recovered
-b_m = Phi_m(0) is the package's coefficient, and the Levinson reflection
-coefficient is -conj(b_m). Each step divides by the pivot
-E_m = prod (1 - |b_k|^2), so moment errors grow as the pivots shrink: from
-quadrature moments (about 1e-15 off) order 15 is good to about 1e-10 at
-|b| = 0.5, but at |b| ~ 0.7 it is not good to 1e-6. Over 100 random
-Geronimus measures with |b| in [0.69, 0.71] and phase within 0.3 of 0,
-recovery from 16 moments missed 1e-6 on 56, by up to 7.1e-6. A pivot below
-1e-12 (positive definiteness lost) raises instead of giving noise.
+coefficients are recovered (coefficients in, measure out, coefficients out
+again) by the Szego recursion on the discrete measure the moments were
+summed from, the discretized Stieltjes procedure (Gautschi, SIAM J. Sci.
+Stat. Comput. 3, 1982) in its unit-circle form (Gragg, J. Comput. Appl.
+Math. 46, 1993); moments read from a file go through Levinson-Durbin
+(Levinson 1947, Durbin 1960), which divides moment errors by the pivots
+E_m = prod (1 - |b_k|^2). Over 300 random Geronimus measures with |b| in
+[0.69, 0.71] and phase within 0.3 of 0, order 15 from the measure was
+within 4.3e-15; from its moments it missed 1e-6 on 170, by up to 6.9e-6.
+Neither route shares code with the recurrence routes it checks. A pivot
+below 1e-12 (positive definiteness lost) raises instead of giving noise.
 
 Also here: the arc-mass reconstruction from the reciprocal squared
 orthonormal polynomials (composite Gauss-Legendre over a grid sweep, panels
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -163,11 +161,11 @@ def _jacobi_rule(n: int, exponent_lo: float, exponent_hi: float) -> tuple[np.nda
 
 
 def _rule_moments(f: Callable[[float], float], piece: SupportPiece, n: int,
-                  order: int) -> np.ndarray:
+                  order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrals of f(t) e^(-i k t) over a piece, k = 0..order, by the n-node Gauss-Jacobi rule.
 
     The rule's weight (t - lo)^exponent_lo (hi - t)^exponent_hi takes the
-    endpoint behavior of f, so f divided by it is smooth.
+    endpoint behavior of f, so f divided by it is smooth; also returns (t, f(t) w).
     """
     half = 0.5 * (piece.hi - piece.lo)
     ks = np.arange(order + 1)
@@ -177,54 +175,56 @@ def _rule_moments(f: Callable[[float], float], piece: SupportPiece, n: int,
         half * w / ((1.0 + x) ** piece.exponent_lo * (1.0 - x) ** piece.exponent_hi))
     # 128 moments at a time bounds the phase matrix at any order
     return np.concatenate([np.exp(-1j * np.outer(ks[i:i + 128], t)) @ fw
-                           for i in range(0, order + 1, 128)])
+                           for i in range(0, order + 1, 128)]), t, fw
 
 
 def _gauss_jacobi_moments(f: Callable[[float], float], piece: SupportPiece,
-                          order: int) -> tuple[np.ndarray, np.ndarray] | None:
+                          order: int) -> tuple[np.ndarray, np.ndarray, tuple] | None:
     """Moments of f over a piece, k = 0..order, by doubled Gauss-Jacobi rules.
 
     Doubles the rule from GAUSS_START_NODES until two successive rules agree
     within MOMENT_ERROR_TARGET on every moment and returns (values,
-    differences); None if GAUSS_MAX_NODES passes without agreement.
+    differences, the last rule's nodes); None if GAUSS_MAX_NODES fails.
     """
     prev = None
     n = GAUSS_START_NODES
     while n <= GAUSS_MAX_NODES:
-        vals = _rule_moments(f, piece, n, order)
+        vals, t, fw = _rule_moments(f, piece, n, order)
         if prev is not None:
             diff = np.abs(vals.real - prev.real) + np.abs(vals.imag - prev.imag)
             if diff.max() <= MOMENT_ERROR_TARGET:
-                return vals, diff
+                return vals, diff, (t, fw)
         prev = vals
         n *= 2
     return None
 
 
 def _panel_moments(f: Callable[[float], float], piece: SupportPiece,
-                   order: int) -> tuple[np.ndarray, np.ndarray]:
+                   order: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Moments of f over a piece, k = 0..order, by composite Gauss-Jacobi panels.
 
     Each panel, the piece itself first, takes the 16- and 32-node rules with
     the piece's exponent only at an end it shares with the piece. It is kept
     when they agree within MOMENT_ERROR_TARGET times max(its share of the
     piece, 1e-3) on every moment, else halved. Returns (values, summed
-    differences); past PANEL_CAP panels raises QuadratureAccuracyError.
+    differences, kept nodes); past PANEL_CAP raises QuadratureAccuracyError.
     """
     vals = np.zeros(order + 1, dtype=complex)
     errs = np.zeros(order + 1)
+    kept = []
     todo = [(piece.lo, piece.hi)]
     panels = 1
     while todo:
         lo, hi = todo.pop()
         panel = SupportPiece(lo, hi, piece.exponent_lo if lo == piece.lo else 0.0,
                              piece.exponent_hi if hi == piece.hi else 0.0)
-        coarse = _rule_moments(f, panel, 16, order)
-        fine = _rule_moments(f, panel, 32, order)
+        coarse = _rule_moments(f, panel, 16, order)[0]
+        fine, t, fw = _rule_moments(f, panel, 32, order)
         diff = np.abs(fine.real - coarse.real) + np.abs(fine.imag - coarse.imag)
         if diff.max() <= MOMENT_ERROR_TARGET * max((hi - lo) / (piece.hi - piece.lo), 1e-3):
             vals += fine
             errs += diff
+            kept.append((t, fw))
             continue
         panels += 1
         if panels > PANEL_CAP:
@@ -232,12 +232,12 @@ def _panel_moments(f: Callable[[float], float], piece: SupportPiece,
                                           context=f"moments over [{piece.lo}, {piece.hi}]")
         mid = 0.5 * (lo + hi)
         todo += [(mid, hi), (lo, mid)]
-    return vals, errs
+    return vals, errs, tuple(map(np.concatenate, zip(*kept)))
 
 
 def _piece_moments(f: Callable[[float], float], piece: SupportPiece,
-                   order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error estimates) of the moments of f over a piece: doubled rules, else panels."""
+                   order: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(values, error estimates, nodes) of f's moments over a piece: doubled rules, else panels."""
     return _gauss_jacobi_moments(f, piece, order) or _panel_moments(f, piece, order)
 
 
@@ -247,6 +247,7 @@ class TrigMoments:
 
     order: int
     values: np.ndarray  # c_0..c_K with c_0 = 1 exactly
+    discrete: tuple | None = field(default=None, repr=False)  # (angles, weights) behind values
 
     def c(self, k: int) -> complex:
         if abs(k) > self.order:
@@ -258,17 +259,20 @@ def trig_moments(measure: MeasureSpec, order: int) -> TrigMoments:
     """Moments by quadrature plus exact point-mass terms, normalized so c_0 = 1.
 
     Raises QuadratureAccuracyError at the first moment whose error estimate,
-    summed over the pieces, exceeds MOMENT_ERROR_TARGET.
+    summed over the pieces, exceeds MOMENT_ERROR_TARGET. The rule nodes and
+    point masses, weights divided by c_0, go with them for recovery.
     """
     if order < 0:
         raise DomainError(f"moment order must be nonnegative, got {order}")
     raw = np.zeros(order + 1, dtype=complex)
+    parts = [np.array(measure.point_masses, dtype=float).reshape(-1, 2).T]  # angles, masses
     if measure.density is not None:
         errs = np.zeros(order + 1)
         for piece in measure.pieces:
-            vals, e = _piece_moments(measure.density, piece, order)
+            vals, e, nodes = _piece_moments(measure.density, piece, order)
             raw += vals
             errs += e
+            parts.append(nodes)
         over = np.flatnonzero(errs > MOMENT_ERROR_TARGET)
         if over.size:
             k = int(over[0])
@@ -284,7 +288,8 @@ def trig_moments(measure: MeasureSpec, order: int) -> TrigMoments:
         )
     values = raw / c0
     values[0] = 1.0
-    return TrigMoments(order=order, values=values)
+    angles, weights = map(np.concatenate, zip(*parts))
+    return TrigMoments(order=order, values=values, discrete=(angles, weights / c0))
 
 
 def read_moments_csv(path: str | Path) -> TrigMoments:
@@ -307,11 +312,16 @@ class VerblunskyRecovery:
 
 
 def verblunsky_from_moments(moments: TrigMoments, n: int) -> VerblunskyRecovery:
-    """Recover the first n reflection coefficients by the Levinson-Szego recursion.
+    """Recover the first n reflection coefficients by the Szego recursion.
 
-    The Szego recursion run on the moments is the Levinson-Durbin algorithm
-    (Levinson 1947, Durbin 1960), O(n^2). With Phi_0 = 1 and E_0 = c_0 = 1,
-    step m takes
+    Moments from trig_moments carry the discrete measure (t_j, w_j) they were
+    summed from; the recursion runs on the orthonormal phi, phi* at
+    z_j = e^(i t_j), O(nN): b_m = -sum_j w_j z_j phi_{m-1}(z_j)
+    conj(phi*_{m-1}(z_j)), then phi_m = z phi_{m-1} + b_m phi*_{m-1} and
+    phi*_m = conj(b_m) z phi_{m-1} + phi*_{m-1}, both divided by the discrete
+    norm of phi_m, and E_m is the product of the squared norms. Other
+    moments (read_moments_csv, hand-built) go through Levinson-Durbin,
+    O(n^2): with Phi_0 = 1 and E_0 = c_0 = 1, step m takes
 
         b_m = -(sum_i Phi_{m-1}[i] conj(c_{i+1})) / E_{m-1}
         E_m = E_{m-1} (1 - |b_m|^2)
@@ -320,19 +330,31 @@ def verblunsky_from_moments(moments: TrigMoments, n: int) -> VerblunskyRecovery:
     so b_m = Phi_m(0) is the package's coefficient (the Levinson reflection
     coefficient is -conj(b_m)), E_m = ||Phi_m||^2 and kappa_m = E_m^(-1/2).
     A pivot E_m below 1e-12 (or NaN) reports the failing order instead of
-    producing noise. Above that the error is not bounded: moment errors are
-    divided by the pivots, and at |b| ~ 0.7 order 15 misses 1e-6 on about
-    half of the measures tried (module docstring).
+    producing noise. Above it only the moment route loses digits: at
+    |b| ~ 0.7 order 15 misses 1e-6 on about half of the measures tried.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n > moments.order:
         raise DomainError(f"need moments through order {n}, have {moments.order}")
+    e, coeffs, kappas = 1.0, [], []
+    if moments.discrete is not None:
+        t, w = moments.discrete
+        z = np.exp(1j * t)
+        phi = phi_star = np.ones_like(z)
+        for m in range(1, n + 1):
+            b = complex(-(w @ (z * phi * np.conj(phi_star))))
+            phi, phi_star = z * phi + b * phi_star, b.conjugate() * z * phi + phi_star
+            norm2 = float(w @ (phi.real ** 2 + phi.imag ** 2))
+            e *= norm2
+            if not e >= 1e-12:
+                raise RankDeficiencyError(order=m, pivot=e)
+            phi, phi_star = phi / math.sqrt(norm2), phi_star / math.sqrt(norm2)
+            coeffs.append(b)
+            kappas.append(1.0 / math.sqrt(e))
+        return VerblunskyRecovery(coefficients=coeffs, kappas=kappas)
     conj_c = np.conj(moments.values)
     phi = np.ones(1, dtype=complex)
-    e = 1.0
-    coeffs: list[complex] = []
-    kappas: list[float] = []
     for m in range(1, n + 1):
         b = complex(-(phi @ conj_c[1:m + 1]) / e)
         e *= 1.0 - abs(b) ** 2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geronimus, szego
-from .core import ReflectionSequence, arc_from_a, mat_norm, unit_point
+from .core import ArcSpec, ReflectionSequence, arc_from_a, mat_norm, unit_point
 from .errors import DomainError, InvalidRotationError
 
 # degree-0 value of the combined state matrix (phi, psi; phi*, -psi*)
@@ -87,8 +87,17 @@ def normalized_matrices(seq: ReflectionSequence, a: complex, n: int, z: complex)
     return out
 
 
+def _on_arc(a: complex, z: complex) -> tuple[ArcSpec, float]:
+    """The arc of a and the angle of z in [0, 2 pi); DomainError if z is in the gap."""
+    arc = arc_from_a(a)  # also the 0 < |a| < 1 check of e_matrix
+    theta = cmath.phase(z) % (2.0 * math.pi)
+    if not arc.contains(theta, tol=1e-9):
+        raise DomainError(f"z must lie on the closed arc, got angle {theta:.6g}")
+    return arc, theta
+
+
 def _branch_degenerate(a: complex, z: complex) -> bool:
-    return not geronimus.eigen_pair(z, arc_from_a(a).alpha).branch_ok
+    return not geronimus.eigen_pair(z, _on_arc(a, z)[0].alpha).branch_ok
 
 
 @dataclass(frozen=True)
@@ -378,10 +387,7 @@ def s_n_bound(seq: ReflectionSequence, a: complex, n: int, z) -> GronwallBound:
     bound-chain consistency check.
     """
     zz = unit_point(z)
-    arc = arc_from_a(a)  # also the 0 < |a| < 1 check of e_matrix
-    theta = cmath.phase(zz) % (2.0 * math.pi)
-    if not arc.contains(theta, tol=1e-9):
-        raise DomainError(f"z must lie on the closed arc, got angle {theta:.6g}")
+    arc, theta = _on_arc(a, zz)
     v = geronimus.v_alpha(theta, arc.alpha)
     # omega(a, z), e_matrix and the state matrix as local scalars, scaled by
     # the reciprocal of the square root as numpy's complex-by-real divide does

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .core import ReflectionSequence
 from .errors import DomainError, InvalidCoefficientError
 
@@ -47,6 +45,7 @@ class SzegoState:
 
     def as_matrix(self) -> np.ndarray:
         """The 2 x 2 state (phi, psi; phi*, -psi*)."""
+        import numpy as np
         return np.array(
             [[self.phi, self.psi], [self.phi_star, -self.psi_star]], dtype=complex
         )
@@ -186,6 +185,7 @@ def monic_coefficients(seq: ReflectionSequence, n: int) -> np.ndarray:
     b * reversed-conjugate(old). O(n^2); intended for modest degrees where an
     explicit coefficient route is wanted as an oracle.
     """
+    import numpy as np
     if n < 0:
         raise DomainError(f"degree must be nonnegative, got {n}")
     coeffs = np.array([1.0 + 0.0j])
@@ -258,6 +258,7 @@ def sweep(seq: ReflectionSequence, thetas: np.ndarray,
     multiply of the float64 view instead. Past that bound (off-arc growth,
     non-finite angles) the step takes the literal divide.
     """
+    import numpy as np
     z = np.exp(1j * np.asarray(thetas, dtype=float))
     cur = np.ones((2,) + z.shape, dtype=complex)  # phi, phi*
     nxt = np.empty_like(cur)
@@ -291,6 +292,7 @@ def sweep(seq: ReflectionSequence, thetas: np.ndarray,
 
 def sweep_abs_phi(seq: ReflectionSequence, thetas: np.ndarray, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, |phi_n| over the angle grid) for n = 1..n_max; see sweep()."""
+    import numpy as np
     for n, phi, _ in sweep(seq, thetas, n_max):
         yield n, np.abs(phi)
 
@@ -303,6 +305,7 @@ def degree_peaks(seq: ReflectionSequence, thetas: np.ndarray, n_max: int,
     is their maximum over the grid and where[n - 1] the grid index of its
     first occurrence.
     """
+    import numpy as np
     peaks = [np.empty(n_max) for _ in weights]
     where = [np.empty(n_max, dtype=int) for _ in weights]
     for n, phi, _ in sweep(seq, thetas, n_max):

@@ -279,22 +279,27 @@ def test_eigensolver_failure_exits_two(capsys, monkeypatch):
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    # one fresh interpreter: only oracle moments/recover and selftest load
-    # scipy, for roots_jacobi (which imports scipy.linalg itself), and none
-    # of them scipy.integrate
+    # one fresh interpreter (pytest has numpy loaded): eval, example17,
+    # lemma18 and usage errors load no numpy; only oracle moments/recover
+    # and selftest load scipy, for roots_jacobi (which imports scipy.linalg
+    # itself), and none of them scipy.integrate
     script = """
 import contextlib, io, sys
+import opuc
 from opuc import cli
-assert "scipy" not in sys.modules
-def main(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(list(argv)) == 0, argv
+assert "numpy" not in sys.modules and "scipy" not in sys.modules
+def main(*argv, code=0):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == code, argv
 main("eval", "--coeffs", "const:0.5", "--n", "20", "--theta-grid", "8")
+main("example17", "--alpha", "1.0", "--gamma", "0.3", "--delta", "0.7", "--nmax", "20")
+main("lemma18", "--a", "0.5", "--b", "1.5", "--x", "2.0", "--nmax", "20")
+main("eval", "--coeffs", "const:nan", "--n", "10", "--theta-grid", "8", code=1)
+main("spectrum", "--coeffs", "const:0.5", code=1)  # --N missing
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 main("geronimus", "--a", "0.5", "--nmax", "50", "--grid-points", "8")
 main("conditions", "--coeffs", "const:0.5", "--a", "0.5", "--N", "20")
 main("krein", "--coeffs", "const:0.5", "--N", "20")
-main("example17", "--alpha", "1.0", "--gamma", "0.3", "--delta", "0.7", "--nmax", "20")
-main("lemma18", "--a", "0.5", "--b", "1.5", "--x", "2.0", "--nmax", "20")
 main("spectrum", "--coeffs", "const:0.5", "--N", "20")
 main("oracle", "--mode", "reconstruct", "--coeffs", "const:0.5", "--theta1", "2",
      "--theta2", "4", "--n", "10")

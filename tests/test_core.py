@@ -306,3 +306,14 @@ def test_parse_file_requires_contiguous_indices(tmp_path):
     path.write_text("n,re,im\n1,0.1,0\n3,0.2,0\n")
     with pytest.raises(SequenceSpecError):
         explicit_from_csv(path)
+
+
+def test_lazy_submodules_and_star_import():
+    import opuc
+
+    namespace = {}
+    exec("from opuc import *", namespace)
+    assert set(opuc.__all__) <= namespace.keys()
+    assert namespace["szego"] is opuc.szego is szego
+    with pytest.raises(AttributeError, match="no_such_name"):
+        opuc.no_such_name

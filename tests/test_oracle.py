@@ -87,6 +87,51 @@ def test_order15_recovery_from_exact_moments(a):
     assert max(abs(c - a) for c in rec.coefficients) < 1e-6
 
 
+def _stratum_draws(count, seed):
+    # the |a| ~ 0.7 Geronimus measures whose order-15 recovery from moments
+    # misses 1e-6 on about half the draws; the mass-point angle must lie in
+    # the gap for mu_a_spec
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        a = rng.uniform(0.69, 0.71) * cmath.exp(1j * rng.uniform(-0.3, 0.3))
+        if abs(cmath.phase((1.0 - a) / (1.0 - a.conjugate()))) < 2.0 * math.asin(abs(a)):
+            draws.append(a)
+    return draws
+
+
+def test_order15_recovery_from_the_discrete_measure():
+    for a in _stratum_draws(100, 28):
+        rec = oracle.verblunsky_from_moments(oracle.trig_moments(oracle.geronimus_measure(a), 16), 15)
+        assert max(abs(c - a) for c in rec.coefficients) < 1e-12, a
+
+
+def test_arc_jacobi_recovery_to_order_120():
+    # a narrow gap keeps |b_k| near sin(0.15), so E_120 stays far above 1e-12
+    p = special.ArcMeasureParams(0.3, 0.3, 0.7)
+    mom = oracle.trig_moments(oracle.arc_jacobi_measure(0.3, 0.3, 0.7), 120)
+    rec = oracle.verblunsky_from_moments(mom, 120)
+    for k, c in enumerate(rec.coefficients, start=1):
+        assert abs(c - special.arc_reflection_exact(p, k)) < 1e-10, k
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5, 0.3 + 0.4j, 0.5 * cmath.exp(2.5j), 0.2])
+def test_levinson_file_route_agrees_with_the_measure_route(a, tmp_path):
+    a = complex(a)
+    mom = oracle.trig_moments(oracle.geronimus_measure(a), 12)
+    path = tmp_path / "moments.csv"
+    assert cli.main(["oracle", "--mode", "moments", "--measure", f"geronimus:a={a.real},{a.imag}",
+                     "--K", "12", "--output", str(path)]) == 0
+    from_file = oracle.read_moments_csv(path)
+    assert from_file.discrete is None
+    by_levinson = oracle.verblunsky_from_moments(from_file, 12)
+    by_measure = oracle.verblunsky_from_moments(mom, 12)
+    for lev, meas in zip(by_levinson.coefficients, by_measure.coefficients):
+        assert abs(lev - meas) < 1e-10
+    for lev, meas in zip(by_levinson.kappas, by_measure.kappas):
+        assert lev == pytest.approx(meas, rel=1e-10)
+
+
 def test_recovered_kappas_match_product_formula():
     mom = oracle.trig_moments(oracle.geronimus_measure(0.5), 13)
     rec = oracle.verblunsky_from_moments(mom, 12)
@@ -303,7 +348,7 @@ def test_gauss_jacobi_rule_matches_adaptive_route(measure):
     for piece in measure.pieces:
         rule = oracle._gauss_jacobi_moments(measure.density, piece, order)
         assert rule is not None
-        values, errors = rule
+        values, errors, _ = rule
         assert np.max(np.abs(values - _adaptive_piece_moments(measure, piece, order))) < 1e-12
         assert np.max(errors) <= oracle.MOMENT_ERROR_TARGET
 
@@ -333,7 +378,7 @@ def test_moments_fall_back_to_gauss_jacobi_panels(a, order):
     measure = oracle.geronimus_measure(a)
     (piece,) = measure.pieces
     assert oracle._gauss_jacobi_moments(measure.density, piece, order) is None
-    values, errors = oracle._piece_moments(measure.density, piece, order)
+    values, errors, _ = oracle._piece_moments(measure.density, piece, order)
     m = geronimus.mu_a_spec(a)
     ks = np.arange(order + 1)
     density_part = (np.array(_exact_moments([a] * order, order))

@@ -65,6 +65,18 @@ def test_comparison_identity_flags_branch_band():
     assert ci.degenerate
 
 
+# theta = 0.26 is in the gap (alpha = 1.43), where the product route diverges
+_GAP_SEQ = Perturbed(a=0.6483 - 0.0969j, amplitude=0.0389, p=1.70, sign="alt")
+
+
+@pytest.mark.parametrize("routine", [perturbation.b_state, perturbation.comparison_identity],
+                         ids=["b_state", "comparison_identity"])
+def test_gap_point_raises(routine):
+    with pytest.raises(DomainError, match="closed arc"):
+        routine(_GAP_SEQ, _GAP_SEQ.a, 30, cmath.exp(0.26j))
+    assert routine(_GAP_SEQ, _GAP_SEQ.a, 30, cmath.exp(3j)).residual < 1e-9
+
+
 def test_b_state_constant_and_single_factor():
     bs = perturbation.b_state(Constant(0.5), 0.5, 7, cmath.exp(2j))
     assert np.max(np.abs(bs.by_definition - perturbation.STATE0)) < 1e-12
