@@ -53,15 +53,15 @@ class QuadratureAccuracyError(RuntimeError):
 class RankDeficiencyError(RuntimeError):
     """Moment matrix lost positive definiteness during coefficient recovery.
 
-    pivot is E_m = ||Phi_m||^2 = prod_{k <= m} (1 - |b_k|^2), the Levinson
-    pivot at the failing order m.
+    pivot is what failed at order m: E_m = prod_{k <= m} (1 - |b_k|^2) on
+    moments (Levinson), the step ratio 1 - |b_m|^2 on a discrete measure.
     """
 
     def __init__(self, order: int, pivot: float):
         self.order = order
         self.pivot = pivot
         super().__init__(
-            f"Levinson pivot E_{order} = {pivot:.3g} below threshold at order {order}; "
+            f"recovery pivot {pivot:.3g} below threshold at order {order}; "
             "moment matrix is numerically rank deficient"
         )
 

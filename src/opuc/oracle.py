@@ -3,24 +3,25 @@
 A measure is specified as an arc density (with endpoint-singularity hints)
 plus a list of point masses. Trigonometric moments come from one
 Gauss-Jacobi rule per support piece whose weight carries the piece's
-endpoint exponents (Golub & Welsch, Math. Comp. 23, 1969): the density is
-evaluated once per node and all moments are one matrix-vector product. The
-rule doubles from 32 nodes until two successive rules agree, and their
-difference is the reported error; a piece that does not settle by 1,024
-nodes (a density peak by an arc end, where |1 - 2a| is near 1 for the
-Geronimus measure) is cut into panels, each halved until its 16- and
-32-node rules agree. Point masses contribute exactly. Reflection
-coefficients are recovered (coefficients in, measure out, coefficients out
-again) by the Szego recursion on the discrete measure the moments were
-summed from, the discretized Stieltjes procedure (Gautschi, SIAM J. Sci.
-Stat. Comput. 3, 1982) in its unit-circle form (Gragg, J. Comput. Appl.
-Math. 46, 1993); moments read from a file go through Levinson-Durbin
-(Levinson 1947, Durbin 1960), which divides moment errors by the pivots
-E_m = prod (1 - |b_k|^2). Over 300 random Geronimus measures with |b| in
-[0.69, 0.71] and phase within 0.3 of 0, order 15 from the measure was
-within 4.3e-15; from its moments it missed 1e-6 on 170, by up to 6.9e-6.
-Neither route shares code with the recurrence routes it checks. A pivot
-below 1e-12 (positive definiteness lost) raises instead of giving noise.
+endpoint exponents, built from the weight's Jacobi matrix (Golub & Welsch,
+Math. Comp. 23, 1969): the density is evaluated once per node and all
+moments are one matrix-vector product. The rule doubles from 32 nodes until
+two successive rules agree, and their difference is the reported error; a
+piece that does not settle by 256 nodes (a density peak by an arc end,
+where |1 - 2a| is near 1 for the Geronimus measure) is cut into panels,
+each halved until its 16- and 32-node rules agree. Point masses contribute
+exactly. Reflection coefficients are recovered (coefficients in, measure
+out, coefficients out again) by the Szego recursion on the discrete measure
+the moments were summed from, the discretized Stieltjes procedure
+(Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) in its unit-circle form
+(Gragg, J. Comput. Appl. Math. 46, 1993); moments read from a file go
+through Levinson-Durbin (Levinson 1947, Durbin 1960), which divides moment
+errors by the pivots E_m = prod (1 - |b_k|^2). Over 300 random Geronimus
+measures with |b| in [0.69, 0.71] and phase within 0.3 of 0, order 15 from
+the measure was within 4.3e-15; from its moments it missed 1e-6 on 170, by
+up to 6.9e-6. Neither route shares code with the recurrence routes it
+checks. A pivot below 1e-12 (positive definiteness lost: the step ratio
+1 - |b_m|^2 on the measure, E_m on moments) raises instead of giving noise.
 
 Also here: the arc-mass reconstruction from the reciprocal squared
 orthonormal polynomials (composite Gauss-Legendre over a grid sweep, panels
@@ -54,7 +55,7 @@ TWO_PI = 2.0 * math.pi
 
 MOMENT_ERROR_TARGET = 1e-10
 GAUSS_START_NODES = 32
-GAUSS_MAX_NODES = 1024
+GAUSS_MAX_NODES = 256
 PANEL_CAP = 1024
 
 RECONSTRUCT_ERROR_TARGET = 1e-9
@@ -77,7 +78,7 @@ class SupportPiece:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DomainError(f"empty support piece [{self.lo}, {self.hi}]")
-        if self.exponent_lo <= -1.0 or self.exponent_hi <= -1.0:
+        if not (self.exponent_lo > -1.0 and self.exponent_hi > -1.0):  # NaN fails too
             raise DomainError("endpoint exponents must exceed -1 for integrability")
 
 
@@ -118,46 +119,48 @@ def geronimus_measure(a: complex) -> MeasureSpec:
     )
 
 
-@lru_cache(maxsize=64)
-def _arc_jacobi_normalization(alpha: float, gamma: float, delta: float) -> float:
+def arc_jacobi_measure(alpha: float, gamma: float, delta: float) -> MeasureSpec:
+    """Arc measure with the Jacobi-type weight, normalized to total mass 1.
+
+    The weight's integral is a Beta integral (t -> cos t), 2^(gamma + 1)
+    cos(alpha/2)^(2 gamma + delta + 1) B(gamma + 1, (delta + 1)/2).
+    """
     params = special.ArcMeasureParams(alpha, gamma, delta)
-    return sum(_piece_moments(params.weight, piece, 0)[0][0].real
-               for piece in _arc_jacobi_pieces(alpha, gamma, delta))
-
-
-def _arc_jacobi_pieces(alpha: float, gamma: float, delta: float) -> tuple[SupportPiece, ...]:
+    c = (2.0 ** (gamma + 1.0) * math.cos(0.5 * alpha) ** (2.0 * gamma + delta + 1.0)
+         * _beta(gamma + 1.0, 0.5 * delta + 0.5))
     # the |cos(t/2)|^delta factor is singular at pi, so pi is a piece boundary;
     # at a degenerate arc endpoint (alpha = 0) the gap factor vanishes
     # quadratically, doubling the effective exponent
     g_end = gamma if alpha > 0.0 else 2.0 * gamma
-    return (
-        SupportPiece(alpha, math.pi, g_end, delta),
-        SupportPiece(math.pi, TWO_PI - alpha, delta, g_end),
-    )
-
-
-def arc_jacobi_measure(alpha: float, gamma: float, delta: float) -> MeasureSpec:
-    """Arc measure with the Jacobi-type weight, normalized to total mass 1.
-
-    The normalization constant is computed by quadrature once per parameter
-    set and cached.
-    """
-    params = special.ArcMeasureParams(alpha, gamma, delta)
-    c = _arc_jacobi_normalization(alpha, gamma, delta)
     return MeasureSpec(
         density=lambda t: params.weight(t) / c,
-        pieces=_arc_jacobi_pieces(alpha, gamma, delta),
+        pieces=(SupportPiece(alpha, math.pi, g_end, delta),
+                SupportPiece(math.pi, TWO_PI - alpha, delta, g_end)),
         name="arc-jacobi",
     )
 
 
+def _beta(p: float, q: float) -> float:
+    return math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+
+
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, exponent_lo: float, exponent_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    # imported here: scipy.special costs 0.3 s that most CLI calls never need
-    from scipy.special import roots_jacobi
+    """n-node Gauss-Jacobi rule, n >= 2, for the weight (1 + x)^exponent_lo (1 - x)^exponent_hi.
 
-    # roots_jacobi's weight (1 - x)^a (1 + x)^b puts a at the upper end
-    return roots_jacobi(n, exponent_hi, exponent_lo)
+    Golub & Welsch: the nodes are the eigenvalues of the weight's Jacobi matrix, the weights
+    the squared first eigenvector components times the weight's integral 2^(a+b+1) B(a+1, b+1).
+    """
+    a, b = exponent_hi, exponent_lo
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+    k, s = k[1:], s[1:]
+    # k = 1 with its factor 1 + a + b cancelled: a + b = -1 would give 0/0
+    off2 = np.concatenate(([4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))],
+                           4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s * s - 1.0))))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
+    return x, 2.0 ** (a + b + 1.0) * _beta(a + 1.0, b + 1.0) * v[0] ** 2
 
 
 def _rule_moments(f: Callable[[float], float], piece: SupportPiece, n: int,
@@ -319,9 +322,10 @@ def verblunsky_from_moments(moments: TrigMoments, n: int) -> VerblunskyRecovery:
     z_j = e^(i t_j), O(nN): b_m = -sum_j w_j z_j phi_{m-1}(z_j)
     conj(phi*_{m-1}(z_j)), then phi_m = z phi_{m-1} + b_m phi*_{m-1} and
     phi*_m = conj(b_m) z phi_{m-1} + phi*_{m-1}, both divided by the discrete
-    norm of phi_m, and E_m is the product of the squared norms. Other
-    moments (read_moments_csv, hand-built) go through Levinson-Durbin,
-    O(n^2): with Phi_0 = 1 and E_0 = c_0 = 1, step m takes
+    norm of phi_m, whose square is the step ratio 1 - |b_m|^2, and kappa_m is
+    1 over the product of those norms. Other moments (read_moments_csv,
+    hand-built) go through Levinson-Durbin, O(n^2): with Phi_0 = 1 and
+    E_0 = c_0 = 1, step m takes
 
         b_m = -(sum_i Phi_{m-1}[i] conj(c_{i+1})) / E_{m-1}
         E_m = E_{m-1} (1 - |b_m|^2)
@@ -329,15 +333,15 @@ def verblunsky_from_moments(moments: TrigMoments, n: int) -> VerblunskyRecovery:
 
     so b_m = Phi_m(0) is the package's coefficient (the Levinson reflection
     coefficient is -conj(b_m)), E_m = ||Phi_m||^2 and kappa_m = E_m^(-1/2).
-    A pivot E_m below 1e-12 (or NaN) reports the failing order instead of
-    producing noise. Above it only the moment route loses digits: at
-    |b| ~ 0.7 order 15 misses 1e-6 on about half of the measures tried.
+    A pivot (step ratio or E_m) below 1e-12 or NaN reports the failing order
+    instead of producing noise. Above it only the moment route loses digits:
+    at |b| ~ 0.7 order 15 misses 1e-6 on about half of the measures tried.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n > moments.order:
         raise DomainError(f"need moments through order {n}, have {moments.order}")
-    e, coeffs, kappas = 1.0, [], []
+    e, kappa, coeffs, kappas = 1.0, 1.0, [], []
     if moments.discrete is not None:
         t, w = moments.discrete
         z = np.exp(1j * t)
@@ -346,12 +350,12 @@ def verblunsky_from_moments(moments: TrigMoments, n: int) -> VerblunskyRecovery:
             b = complex(-(w @ (z * phi * np.conj(phi_star))))
             phi, phi_star = z * phi + b * phi_star, b.conjugate() * z * phi + phi_star
             norm2 = float(w @ (phi.real ** 2 + phi.imag ** 2))
-            e *= norm2
-            if not e >= 1e-12:
-                raise RankDeficiencyError(order=m, pivot=e)
-            phi, phi_star = phi / math.sqrt(norm2), phi_star / math.sqrt(norm2)
+            if not norm2 >= 1e-12:
+                raise RankDeficiencyError(order=m, pivot=norm2)
+            r = math.sqrt(norm2)
+            phi, phi_star, kappa = phi / r, phi_star / r, kappa / r
             coeffs.append(b)
-            kappas.append(1.0 / math.sqrt(e))
+            kappas.append(kappa)
         return VerblunskyRecovery(coefficients=coeffs, kappas=kappas)
     conj_c = np.conj(moments.values)
     phi = np.ones(1, dtype=complex)
@@ -421,17 +425,13 @@ def reconstruct_arc_mass(seq: ReflectionSequence, subarc: tuple[float, float], n
 
 
 _SWEEP_CHUNK = 1 << 16  # nodes per grid sweep; bounds the sweep's buffers
-# 8-point Gauss-Legendre rule, the bits of scipy.special.roots_jacobi(8, 0, 0)
-_GL8_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.18343464249564984,
-                       0.18343464249564984, 0.525532409916329, 0.7966664774136267, 0.9602898564975363])
-_GL8_WEIGHTS = np.array([0.10122853629037562, 0.22238103445337473, 0.3137066458778876, 0.36268378337836205,
-                         0.36268378337836205, 0.3137066458778876, 0.22238103445337473, 0.10122853629037562])
 
 
 def _gauss_legendre_panels(seq: ReflectionSequence, left: np.ndarray, width: np.ndarray,
                            n: int) -> np.ndarray:
     """8-point Gauss-Legendre integral of |phi_n|^(-2) over each panel [left, left + width]."""
-    t = (left[:, None] + 0.5 * width[:, None] * (_GL8_NODES + 1.0)).ravel()
+    x, w = _jacobi_rule(8, 0.0, 0.0)
+    t = (left[:, None] + 0.5 * width[:, None] * (x + 1.0)).ravel()
     inv = np.empty_like(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, t.size, _SWEEP_CHUNK):
@@ -441,7 +441,7 @@ def _gauss_legendre_panels(seq: ReflectionSequence, left: np.ndarray, width: np.
             mod2 = abs_phi * abs_phi
             # phi overflows in a gap, where the true integrand is below 1e-300
             inv[i:i + _SWEEP_CHUNK] = np.where(np.isfinite(mod2) & (mod2 > 0.0), 1.0 / mod2, 0.0)
-    return 0.5 * width * (inv.reshape(-1, 8) @ _GL8_WEIGHTS)
+    return 0.5 * width * (inv.reshape(-1, 8) @ w)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ class ArcMeasureParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha < math.pi:
             raise DomainError(f"alpha must lie in [0, pi), got {self.alpha}")
-        if self.gamma <= -1.0 or self.delta <= -1.0:
-            raise DomainError("gamma and delta must exceed -1")
+        if not (-1.0 < self.gamma < math.inf and -1.0 < self.delta < math.inf):  # NaN fails too
+            raise DomainError("gamma and delta must be finite and exceed -1")
 
     @property
     def jacobi(self) -> JacobiParams:

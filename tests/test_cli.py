@@ -280,9 +280,7 @@ def test_eigensolver_failure_exits_two(capsys, monkeypatch):
 
 def test_scipy_stays_off_the_import_path(tmp_path):
     # one fresh interpreter (pytest has numpy loaded): eval, example17,
-    # lemma18 and usage errors load no numpy; only oracle moments/recover
-    # and selftest load scipy, for roots_jacobi (which imports scipy.linalg
-    # itself), and none of them scipy.integrate
+    # lemma18 and usage errors load no numpy, and no subcommand loads scipy
     script = """
 import contextlib, io, sys
 import opuc
@@ -307,6 +305,7 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 main("oracle", "--mode", "moments", "--measure", "geronimus:a=0.5", "--K", "4")
 main("oracle", "--mode", "recover", "--measure", "geronimus:a=0.5", "--n", "3", "--K", "4")
 main("selftest")
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 assert "scipy.integrate" not in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

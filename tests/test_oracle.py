@@ -115,6 +115,32 @@ def test_arc_jacobi_recovery_to_order_120():
         assert abs(c - special.arc_reflection_exact(p, k)) < 1e-10, k
 
 
+def test_arc_jacobi_recovery_to_order_200_with_a_wide_gap():
+    # |b_k| -> 0.71, so E_200 is about 1e-60: only the step ratio
+    # 1 - |b_m|^2 ~ 0.5 is tested against 1e-12
+    p = special.ArcMeasureParams(math.pi / 2, 0.3, 0.7)
+    mom = oracle.trig_moments(oracle.arc_jacobi_measure(math.pi / 2, 0.3, 0.7), 200)
+    rec = oracle.verblunsky_from_moments(mom, 200)
+    for k, c in enumerate(rec.coefficients, start=1):
+        assert abs(c - special.arc_reflection_exact(p, k)) < 1e-12, k
+
+
+def test_kappas_stay_finite_past_the_underflow_of_e():
+    # a 4,000-point midpoint discretization of the a = 0.7 Geronimus arc:
+    # |b_m| stays near 0.7, so E_m = prod (1 - |b_k|^2) is 0.0 in double
+    # precision by m = 1,200 while kappa_m = E_m^(-1/2) is about 1e177
+    m = geronimus.mu_a_spec(0.7)
+    h = (2.0 * math.pi - 2.0 * m.alpha) / 4000
+    t = m.alpha + h * (np.arange(4000) + 0.5)
+    w = np.array([m.density(x) for x in t])
+    mom = oracle.TrigMoments(order=1200, values=np.zeros(1201), discrete=(t, w / w.sum()))
+    rec = oracle.verblunsky_from_moments(mom, 1200)
+    assert math.prod(1.0 - abs(c) ** 2 for c in rec.coefficients) == 0.0
+    assert all(math.isfinite(k) for k in rec.kappas)
+    log_e = math.fsum(math.log1p(-abs(c) ** 2) for c in rec.coefficients)
+    assert math.log(rec.kappas[-1]) == pytest.approx(-0.5 * log_e, rel=1e-12)
+
+
 @pytest.mark.parametrize("a", [0.5, -0.5, 0.3 + 0.4j, 0.5 * cmath.exp(2.5j), 0.2])
 def test_levinson_file_route_agrees_with_the_measure_route(a, tmp_path):
     a = complex(a)
@@ -149,6 +175,20 @@ def test_arc_jacobi_oracle_matches_exact_route():
         assert abs(c - special.arc_reflection_exact(p, k)) < 1e-6
 
 
+@pytest.mark.parametrize("alpha,gamma,delta", [
+    (math.pi / 2, 0.3, 0.7), (1.0, -0.4, -0.3), (0.8, -0.5, -0.5), (0.0, 0.3, 0.7),
+    (0.0, -0.4, 0.5), (2.5, -0.9, 2.0)])
+def test_arc_jacobi_normalization_matches_quadrature(alpha, gamma, delta):
+    # the closed-form Beta integral against the Gauss-Jacobi moment rules
+    measure = oracle.arc_jacobi_measure(alpha, gamma, delta)
+    params = special.ArcMeasureParams(alpha, gamma, delta)
+    by_quadrature = sum(oracle._piece_moments(params.weight, piece, 0)[0][0].real
+                        for piece in measure.pieces)
+    t = 0.5 * (alpha + math.pi)
+    closed_form = params.weight(t) / measure.density(t)
+    assert by_quadrature == pytest.approx(closed_form, rel=1e-11)
+
+
 def test_moments_hermitian_and_normalized_by_construction():
     mom = oracle.trig_moments(oracle.arc_jacobi_measure(1.0, -0.4, -0.3), 5)
     assert mom.c(0) == 1.0
@@ -169,7 +209,8 @@ def test_rank_deficiency_reports_order():
     mom = oracle.trig_moments(two, 6)
     with pytest.raises(RankDeficiencyError) as exc:
         oracle.verblunsky_from_moments(mom, 5)
-    assert exc.value.order == 2
+    assert exc.value.order == 2 and exc.value.pivot < 1e-12
+    assert "Levinson" not in str(exc.value)
 
 
 def test_moment_csv_roundtrip(tmp_path):
@@ -282,6 +323,21 @@ def test_point_measure_rejects_non_finite(theta, mass):
 def test_parse_measure_rejects_non_finite_point(spec):
     with pytest.raises(SequenceSpecError):
         oracle.parse_measure(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    "arc-jacobi:alpha=1,gamma=nan,delta=0.5", "arc-jacobi:alpha=1,gamma=0.3,delta=nan",
+    "arc-jacobi:alpha=1,gamma=inf,delta=0.5", "arc-jacobi:alpha=1,gamma=0.3,delta=inf"])
+def test_parse_measure_rejects_non_finite_arc_jacobi_exponent(spec):
+    with pytest.raises(SequenceSpecError):
+        oracle.parse_measure(spec)
+
+
+@pytest.mark.parametrize("lo,hi", [(-1.0, 0.0), (0.0, -1.5), (math.nan, 0.0), (0.0, math.nan)])
+def test_support_piece_rejects_bad_exponents(lo, hi):
+    # _jacobi_rule would take a NaN exponent into its Jacobi matrix
+    with pytest.raises(DomainError):
+        SupportPiece(0.0, 1.0, lo, hi)
 
 
 def test_quadrature_handles_negative_exponents():
@@ -426,11 +482,37 @@ def test_reconstruct_matches_adaptive_quadrature(a, subarc, n):
     assert abs(coarse.sum() / (2.0 * math.pi) - ref) > 1e-5
 
 
-def test_panel_rule_literals_are_the_gauss_legendre_rule():
+def _jacobi_monomial_integrals(lo, hi, top):
+    """int_{-1}^{1} x^m (1 + x)^lo (1 - x)^hi dx for m = 0..top as exact Beta sums, 40 digits.
+
+    x^m = sum_j C(m, j) (1 + x)^j (-1)^(m - j), and each term is
+    2^(lo + hi + j + 1) B(hi + 1, lo + j + 1).
+    """
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        return [float(sum(mpmath.binomial(m, j) * (-1) ** (m - j) * 2 ** (lo + hi + j + 1)
+                          * mpmath.beta(hi + 1, lo + j + 1) for j in range(m + 1)))
+                for m in range(top + 1)]
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 0.0), (0.5, 0.5), (-0.5, -0.5), (0.8, -0.3),
+                                   (-0.6, 0.2), (-0.9, -0.9), (3.0, 0.0)])
+def test_jacobi_rule_integrates_monomials(lo, hi):
+    # exact through degree 2n - 1 >= 15; roots_jacobi missed these sums by up
+    # to 9e-11 of the weight total
+    exact = _jacobi_monomial_integrals(lo, hi, 13)
+    for n in (8, 16, 32, 64, 128, 256):
+        x, w = oracle._jacobi_rule(n, lo, hi)
+        for m, value in enumerate(exact):
+            assert abs(w @ x ** m - value) <= 1e-14 * exact[0], (n, m)
+
+
+def test_panel_rule_is_the_gauss_legendre_rule():
     from scipy.special import roots_jacobi
 
-    x, w = roots_jacobi(8, 0.0, 0.0)
-    assert np.array_equal(oracle._GL8_NODES, x) and np.array_equal(oracle._GL8_WEIGHTS, w)
+    x, w = oracle._jacobi_rule(8, 0.0, 0.0)
+    x_ref, w_ref = roots_jacobi(8, 0.0, 0.0)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15 and np.max(np.abs(w - w_ref)) <= 1e-15
 
 
 def test_reconstruct_finds_mass_point_in_subarc():
