@@ -131,8 +131,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_geronimus(args) -> int:
     from . import geronimus
-    if args.grid_points < 2:
-        raise _UsageError("--grid-points must be at least 2")
     a = _parse_complex(args.a)
     measure = geronimus.mu_a_spec(a)
     rep = geronimus.envelope_check(a, args.nmax, epsilon=args.epsilon,
@@ -170,7 +168,7 @@ def _cmd_spectrum(args) -> int:
 
     from . import spectral
     seq = parse_sequence(args.coeffs)
-    a = _parse_complex(args.a) if args.a is not None else seq.coeff_at(args.N)
+    a = _parse_complex(args.a) if args.a is not None else None
     rep = spectral.support_report(seq, a, args.N, tol=args.tol)
     rows = [[z.real, z.imag, float(np.angle(z) % (2 * math.pi)), 1.0 - abs(z)] for z in rep.zeros]
     return _emit_csv_or_json(args, ["re", "im", "arg", "one_minus_abs"], rows, rep.to_json())
@@ -323,7 +321,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the least value of each size option that gives a table at least one row long
+_LEAST = {("eval", "theta_grid"): 1, ("geronimus", "grid_points"): 2,
+          ("example17", "nmax"): 1, ("lemma18", "nmax"): 2}
+
+
 def _validate(args) -> None:
+    for (command, option), least in _LEAST.items():
+        if args.command == command and getattr(args, option) < least:
+            raise _UsageError(f"--{option.replace('_', '-')} must be at least {least}")
     if args.command == "oracle":
         if args.mode in ("moments",) and args.measure is None:
             raise _UsageError("oracle --mode moments needs --measure")

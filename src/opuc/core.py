@@ -2,9 +2,9 @@
 
 A system of orthogonal polynomials on the unit circle is determined by its
 reflection coefficients, one complex number strictly inside the unit disk per
-index n >= 1. Sequences are pure evaluation rules (never materialized), so
-indices up to 1e6 stay cheap. Every access is validated; a coefficient on or
-outside the unit circle raises, naming the offending index.
+index n >= 1. A sequence is an evaluation rule, read in bulk: `coeffs(n)` runs
+the kind's expressions over 1..n in one loop, then one validation pass; a
+coefficient on or outside the unit circle, or NaN, raises, naming its index.
 
 Also here: the circular-arc geometry attached to a comparison coefficient a
 (the arc shrinks to a point as |a| -> 1), the unit-circle check for points,
@@ -19,6 +19,7 @@ import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import special
@@ -37,22 +38,40 @@ _EAGER_CHECK = 64
 
 
 class ReflectionSequence:
-    """Base evaluation rule n -> coefficient, n >= 1."""
+    """Base evaluation rule n -> coefficient, n >= 1.
+
+    A kind gives its rule as `_values`, the coefficients at a run of indices
+    from one loop, or as `raw_coeff`, one index at a time; each defaults to
+    the other.
+    """
+
+    # set where construction has validated every value the rule yields
+    _prevalidated = False
 
     def raw_coeff(self, n: int) -> complex:
-        raise NotImplementedError
+        return self._values(range(n, n + 1))[0]
+
+    def _values(self, ks: range) -> list[complex]:
+        return [complex(self.raw_coeff(k)) for k in ks]
 
     def coeff_at(self, n: int) -> complex:
         if n < 1:
             raise DomainError(f"coefficient index must be >= 1, got {n}")
-        value = complex(self.raw_coeff(n))
-        if not abs(value) < 1.0:  # also rejects NaN
-            raise InvalidCoefficientError(n, value, detail=repr(self))
-        return value
+        return self._read(range(n, n + 1))[0]
 
     def coeffs(self, n: int) -> list[complex]:
         """Coefficients 1..n as a list; every loop over indices reads them here."""
-        return list(map(self.coeff_at, range(1, n + 1)))
+        # kinds define `_values`, never `coeffs`: benchmark/tracing.py wraps this method
+        return self._read(range(1, max(n, 0) + 1))
+
+    def _read(self, ks: range) -> list[complex]:
+        """The rule's values at ks after one validation pass, naming the first bad index."""
+        values = self._values(ks)
+        if not self._prevalidated:
+            for k, v in zip(ks, values):
+                if not abs(v) < 1.0:  # also rejects NaN
+                    raise InvalidCoefficientError(k, v, detail=repr(self))
+        return values
 
 
 @dataclass(frozen=True, repr=True)
@@ -60,13 +79,14 @@ class Constant(ReflectionSequence):
     """Constant coefficient a with |a| < 1 (a = 0 is the Lebesgue case)."""
 
     a: complex
+    _prevalidated = True
 
     def __post_init__(self):
         if not abs(self.a) < 1.0:
             raise InvalidCoefficientError(1, self.a, detail="constant sequence")
 
-    def raw_coeff(self, n: int) -> complex:
-        return self.a
+    def _values(self, ks: range) -> list[complex]:
+        return [complex(self.a)] * len(ks)
 
 
 @dataclass(frozen=True)
@@ -79,12 +99,13 @@ class Explicit(ReflectionSequence):
         object.__setattr__(self, "values", tuple(complex(v) for v in values))
         self.coeffs(len(self.values))  # validates every value
 
-    def raw_coeff(self, n: int) -> complex:
-        if n > len(self.values):
+    def _values(self, ks: range) -> list[complex]:
+        m = len(self.values)
+        if ks and ks[-1] > m:
             raise IndexError(
-                f"explicit sequence has {len(self.values)} coefficients, index {n} requested"
+                f"explicit sequence has {m} coefficients, index {max(ks[0], m + 1)} requested"
             )
-        return self.values[n - 1]
+        return list(self.values[ks.start - 1:ks.stop - 1])
 
 
 @dataclass(frozen=True)
@@ -98,9 +119,10 @@ class Rotated(ReflectionSequence):
         if not abs(abs(self.tau) - 1.0) <= 1e-12:  # also rejects non-finite tau
             raise InvalidRotationError(self.tau)
 
-    def raw_coeff(self, n: int) -> complex:
-        # polar power keeps |tau^n| = 1 to rounding for large n
-        return cmath.exp(1j * n * cmath.phase(self.tau)) * self.base.coeff_at(n)
+    def _values(self, ks: range) -> list[complex]:
+        # polar power keeps |tau^k| = 1 to rounding for large k
+        phase = cmath.phase(self.tau)
+        return [cmath.exp(1j * k * phase) * b for k, b in zip(ks, self.base._read(ks))]
 
 
 @dataclass(frozen=True)
@@ -119,11 +141,9 @@ class Zhedanov(ReflectionSequence):
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"Zhedanov parameter must lie in (0, 1), got {self.q}")
 
-    def raw_coeff(self, n: int) -> complex:
-        v = 2.0 * self.q**n - 1.0
-        if v <= -1.0:
-            v = math.nextafter(-1.0, 0.0)
-        return complex(v)
+    def _values(self, ks: range) -> list[complex]:
+        q, clamp = self.q, math.nextafter(-1.0, 0.0)
+        return [complex(max(2.0 * q**k - 1.0, clamp)) for k in ks]
 
 
 @dataclass(frozen=True)
@@ -144,11 +164,10 @@ class JacobiArc(ReflectionSequence):
         object.__setattr__(self, "_pass", special.arc_reflections(params))
         self.coeffs(_EAGER_CHECK)  # validates the prefix
 
-    def raw_coeff(self, n: int) -> complex:
+    def _values(self, ks: range) -> list[complex]:
         store = self._store
-        while len(store) < n:
-            store.append(next(self._pass))
-        return complex(store[n - 1])
+        store.extend(islice(self._pass, max(0, ks.stop - 1 - len(store))))
+        return list(map(complex, store[ks.start - 1:ks.stop - 1]))
 
 
 @dataclass(frozen=True)
@@ -177,9 +196,11 @@ class Perturbed(ReflectionSequence):
             raise DomainError(f"sign pattern must be 'plain' or 'alt', got {self.sign!r}")
         self.coeffs(_EAGER_CHECK)  # validates the prefix
 
-    def raw_coeff(self, n: int) -> complex:
-        s = -1.0 if (self.sign == "alt" and n % 2) else 1.0
-        return self.a + self.amplitude * s * (n + 1.0) ** (-self.p)
+    def _values(self, ks: range) -> list[complex]:
+        a, p = complex(self.a), -self.p
+        # amplitude * s_k at even and at odd k
+        amps = (self.amplitude * 1.0, self.amplitude * (-1.0 if self.sign == "alt" else 1.0))
+        return [a + amps[k & 1] * (k + 1.0) ** p for k in ks]
 
 
 def rotate_sequence(seq: ReflectionSequence, tau: complex) -> ReflectionSequence:

@@ -150,7 +150,7 @@ class SupportReport:
         }
 
 
-def support_report(seq: ReflectionSequence, a: complex, n_dim: int, tol: float = 0.05,
+def support_report(seq: ReflectionSequence, a: complex | None, n_dim: int, tol: float = 0.05,
                    num_bins: int = 20, max_dim: int = DEFAULT_MAX_DIM) -> SupportReport:
     """Classify truncation zeros by argument against the arc of the comparison a.
 
@@ -158,11 +158,12 @@ def support_report(seq: ReflectionSequence, a: complex, n_dim: int, tol: float =
     argument. Outliers are zeros whose argument misses the arc by more than
     tol; an outlier is persistent when the half-size truncation has an
     outlier within 0.01 in argument (separating mass-point candidates from
-    truncation artifacts, which wander near the arc endpoints).
+    truncation artifacts, which wander near the arc endpoints). With a = None
+    the comparison is the last coefficient of the truncation, c_{n_dim}.
     """
     if n_dim < 20:
         raise DomainError(f"support classification needs dimension >= 20, got {n_dim}")
-    arc = arc_from_a(a)
+    arc = arc_from_a(seq.coeff_at(n_dim) if a is None else a)
     zeros = truncation_zeros(seq, n_dim, max_dim=max_dim)
     zeros_half = truncation_zeros(seq, n_dim // 2, max_dim=max_dim)
 

@@ -253,6 +253,26 @@ def test_geronimus_nonpositive_nmax_exits_one(capsys, nmax):
 
 
 @pytest.mark.parametrize("argv", [
+    ("eval", "--coeffs", "const:0.5", "--n", "3", "--theta-grid", "0"),
+    ("eval", "--coeffs", "const:0.5", "--n", "3", "--theta-grid", "-2"),
+    ("example17", "--alpha", "1.0", "--gamma", "0.3", "--delta", "0.7", "--nmax", "0"),
+    ("example17", "--alpha", "1.0", "--gamma", "0.3", "--delta", "0.7", "--nmax", "-1"),
+    ("lemma18", "--a", "0.5", "--b", "1.5", "--x", "2.0", "--nmax", "1"),
+    ("geronimus", "--a", "0.5", "--grid-points", "1"),
+])
+def test_empty_table_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "must be at least" in err and not out
+
+
+@pytest.mark.parametrize("a", [(), ("--a", "0.5")], ids=["default-a", "given-a"])
+def test_spectrum_small_dimension_names_the_dimension(capsys, a):
+    code, out, err = run(capsys, "spectrum", "--coeffs", "const:0.5", "--N", "0", *a)
+    assert code == 1 and not out
+    assert "support classification needs dimension >= 20, got 0" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("geronimus", "--a", "0.5,0.1,9"),
     ("oracle", "--mode", "moments", "--measure", "geronimus:a=0.5,0.1,9", "--K", "2"),
     ("conditions", "--coeffs", "const:0.5", "--a", "0.5", "--tau", "1,0,9", "--N", "10"),

@@ -13,6 +13,7 @@ from opuc.core import (
     JacobiArc,
     Perturbed,
     ReflectionSequence,
+    Rotated,
     Zhedanov,
     arc_from_a,
     explicit_from_csv,
@@ -110,6 +111,102 @@ def test_invalid_coefficient_found_late_names_its_index(reader, bad):
     with pytest.raises(InvalidCoefficientError) as exc:
         _LATE_READERS[reader](_LateInvalid(bad))
     assert exc.value.index == 80
+
+
+@pytest.mark.parametrize("bad", [NAN, 1.5], ids=["nan", "outside"])
+def test_rotated_bulk_read_names_the_late_index(bad):
+    seq = Rotated(1j, _LateInvalid(bad))
+    for read in (lambda: seq.coeffs(100), lambda: seq.coeff_at(80)):
+        with pytest.raises(InvalidCoefficientError) as exc:
+            read()
+        assert exc.value.index == 80
+
+
+# bulk reads: each kind's rule over 1..n against the single-index rules the
+# kinds had before they read in bulk, written out here as references
+
+
+def _bits(values):
+    # hex tells signed zeros apart
+    return [(v.real.hex(), v.imag.hex(), type(v)) for v in values]
+
+
+def _perturbed_reference(seq, n):
+    s = -1.0 if (seq.sign == "alt" and n % 2) else 1.0
+    return complex(seq.a + seq.amplitude * s * (n + 1.0) ** (-seq.p))
+
+
+def _zhedanov_reference(seq, n):
+    v = 2.0 * seq.q**n - 1.0
+    return complex(math.nextafter(-1.0, 0.0) if v <= -1.0 else v)
+
+
+def _rotated_reference(seq, n):
+    return cmath.exp(1j * n * cmath.phase(seq.tau)) * seq.base.coeff_at(n)
+
+
+_TAU = cmath.exp(0.7j)
+_BULK_CASES = {
+    "constant-real": (lambda: Constant(0.25), 300, lambda seq, n: complex(seq.a)),
+    "constant-complex": (lambda: Constant(complex(-0.3, -0.0)), 300, lambda seq, n: seq.a),
+    "perturbed-plain-real": (lambda: Perturbed(a=0.5, amplitude=0.3, p=1.5), 300,
+                             _perturbed_reference),
+    "perturbed-alt-real": (lambda: Perturbed(a=-0.45, amplitude=0.2, p=0.7, sign="alt"), 300,
+                           _perturbed_reference),
+    "perturbed-plain-complex": (lambda: Perturbed(a=complex(0.4, -0.0), amplitude=0.1, p=2.5),
+                                300, _perturbed_reference),
+    "perturbed-alt-complex": (lambda: Perturbed(a=-0.2 + 0.3j, amplitude=0.4, p=0.5,
+                                                sign="alt"), 300, _perturbed_reference),
+    "zhedanov-past-clamp": (lambda: Zhedanov(0.5), 200, _zhedanov_reference),
+    "rotated-perturbed": (lambda: Rotated(_TAU, Perturbed(a=0.5, amplitude=0.3, p=1.0,
+                                                          sign="alt")), 300, _rotated_reference),
+    "rotated-jacobi-arc": (lambda: Rotated(-_TAU, JacobiArc(1.0, 0.3, 0.7)), 300,
+                           _rotated_reference),
+    "explicit": (lambda: Explicit([0.1, -0.0, complex(0.2, -0.0), -0.5j, 0.3 - 0.4j]), 5,
+                 lambda seq, n: seq.values[n - 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BULK_CASES))
+def test_bulk_read_has_the_bits_of_single_reads(case):
+    make, n, reference = _BULK_CASES[case]
+    seq = make()
+    values = seq.coeffs(n)
+    assert all(type(v) is complex for v in values)
+    assert _bits(values) == _bits([seq.coeff_at(k) for k in range(1, n + 1)])
+    assert _bits(values) == _bits([reference(seq, k) for k in range(1, n + 1)])
+    assert seq.coeffs(0) == [] and seq.coeffs(-3) == []
+
+
+def test_zhedanov_bulk_read_is_clamped_inside_the_disk():
+    values = Zhedanov(0.5).coeffs(200)
+    assert values[-1] == math.nextafter(-1.0, 0.0)
+    assert all(abs(v) < 1.0 for v in values)
+
+
+def test_jacobi_arc_bulk_read_after_reading_ahead():
+    ahead = JacobiArc(2.0, -0.3, 0.4)
+    last = ahead.coeff_at(500)  # extends the store past what coeffs reads next
+    fresh = JacobiArc(2.0, -0.3, 0.4)
+    single = [fresh.coeff_at(k) for k in range(1, 801)]
+    assert _bits(ahead.coeffs(300)) == _bits(single[:300])
+    assert _bits(ahead.coeffs(800)) == _bits(single)
+    assert _bits([last]) == _bits([single[499]])
+
+
+def test_explicit_bulk_read_past_end_keeps_the_message():
+    seq = Explicit([0.1j, 0.2])
+    with pytest.raises(IndexError, match="has 2 coefficients, index 3 requested"):
+        seq.coeffs(5)
+    with pytest.raises(IndexError, match="has 2 coefficients, index 4 requested"):
+        seq.coeff_at(4)
+
+
+@pytest.mark.parametrize("kind", [Constant, Explicit, Rotated, Zhedanov, JacobiArc, Perturbed])
+def test_kinds_read_in_bulk_through_the_base_coeffs(kind):
+    # benchmark/tracing.py times coefficient reads by wrapping
+    # ReflectionSequence.coeffs; a kind overriding it would read untimed
+    assert "coeffs" not in vars(kind)
 
 
 @pytest.mark.parametrize("tau", [NAN, complex(1.0, NAN), float("inf")])
